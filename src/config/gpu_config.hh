@@ -159,20 +159,10 @@ struct GpuConfig
     bool fastForwardEnabled = true;
 
     /**
-     * Issue-path ready sets: maintain the per-scheduler set of
-     * hazard-free, barrier-free warps of Active CTAs incrementally at
-     * each warp state transition, so the per-cycle issue sweep visits
-     * only ready warps instead of every resident warp. Pure
-     * simulator-speed optimisation — every statistic is bit-identical
-     * with it on or off.
-     */
-    bool incrementalReadySets = true;
-
-    /**
-     * Cross-check the incremental ready sets against a full warp scan
-     * every busy cycle (expensive; always on in assert-enabled builds,
-     * this flag forces it in release builds — used by the ready-set
-     * property tests).
+     * Cross-check the issue path's ready bits, Active-CTA age order and
+     * stall counters against a full warp scan every busy cycle
+     * (expensive; always on in assert-enabled builds, this flag forces it
+     * in release builds — used by the ready-set property tests).
      */
     bool readySetOracle = false;
 

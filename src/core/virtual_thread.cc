@@ -81,6 +81,16 @@ VirtualThreadManager::activeSlotFreeFor(const CtaFootprint &fp) const
 }
 
 bool
+VirtualThreadManager::anyFootprintFits() const
+{
+    // Unconfigured grids (warpsPerCta == 0) own no CTAs.
+    for (const CtaFootprint &fp : fps_)
+        if (fp.warpsPerCta > 0 && activeSlotFreeFor(fp))
+            return true;
+    return false;
+}
+
+bool
 VirtualThreadManager::canAdmit(GridId grid) const
 {
     const CtaFootprint &fp = fps_[grid];
@@ -118,6 +128,7 @@ VirtualThreadManager::activate(VirtualCtaId id, Cycle now)
         // Restoring saved scheduling state costs the swap-in latency.
         rec.state = CtaState::SwappingIn;
         rec.transitionAt = now + config_.vtSwapInLatency;
+        nextTransition_ = std::min(nextTransition_, rec.transitionAt);
         ++swapIns_;
         ++gridSwapIns_[rec.grid];
         traceStateChange(id, CtaState::SwappingIn, now);
@@ -224,6 +235,7 @@ VirtualThreadManager::forceSwapOut(VirtualCtaId id, Cycle now)
     // trigger, and the histogram measures the trigger's patience.
     out.state = CtaState::SwappingOut;
     out.transitionAt = now + config_.vtSwapOutLatency;
+    nextTransition_ = std::min(nextTransition_, out.transitionAt);
     out.everSwapped = true;
     out.stalledFor = 0;
     traceStateChange(id, CtaState::SwappingOut, now);
@@ -283,7 +295,7 @@ VirtualThreadManager::nextEventCycle(Cycle now) const
     // A free active slot with an inactive CTA waiting (possible after a
     // throttle-cap raise) activates at the very next tick, and so does
     // the next pair of an already-eligible swap (one pair per cycle).
-    {
+    if (anyFootprintFits()) {
         const VirtualCtaId cand = pickSwapIn(false);
         if (cand != invalidId &&
             activeSlotFreeFor(fps_[ctas_[cand].grid]))
@@ -299,17 +311,12 @@ VirtualThreadManager::nextEventCycle(Cycle now) const
         }
     }
 
-    Cycle next = neverCycle;
-    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
-        const CtaRec &rec = ctas_[id];
-        if (!rec.resident)
-            continue;
-        if (rec.state == CtaState::SwappingOut ||
-            rec.state == CtaState::SwappingIn) {
-            next = std::min(next, std::max(now, rec.transitionAt));
-        } else if (rec.state == CtaState::Active &&
-                   rec.stalledFor < config_.vtStallThreshold &&
-                   rec.stalledNow) {
+    Cycle next = nextTransition_ == neverCycle
+                     ? neverCycle
+                     : std::max(now, nextTransition_);
+    for (const CtaRec &rec : ctas_) {
+        if (rec.resident && rec.state == CtaState::Active &&
+            rec.stalledFor < config_.vtStallThreshold && rec.stalledNow) {
             // With the stall condition holding steady, the streak first
             // reaches the swap threshold at this cycle's tick. A streak
             // already at/past the threshold generates no event: the
@@ -349,24 +356,30 @@ VirtualThreadManager::tick(Cycle now)
     if (!config_.vtEnabled)
         return;
 
-    // 1. Complete in-flight transitions.
-    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
-        CtaRec &rec = ctas_[id];
-        if (!rec.resident || rec.transitionAt > now)
-            continue;
-        if (rec.state == CtaState::SwappingOut) {
-            rec.state = CtaState::Inactive;
-            traceStateChange(id, CtaState::Inactive, now);
-        } else if (rec.state == CtaState::SwappingIn) {
-            rec.state = CtaState::Active;
-            rec.stalledFor = 0;
-            traceStateChange(id, CtaState::Active, now);
-            query_.onCtaIssuableChanged(id, true);
+    // 1. Complete in-flight transitions (none before nextTransition_).
+    if (now >= nextTransition_) {
+        nextTransition_ = neverCycle;
+        for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
+            CtaRec &rec = ctas_[id];
+            if (!rec.resident || (rec.state != CtaState::SwappingOut &&
+                                  rec.state != CtaState::SwappingIn))
+                continue;
+            if (rec.transitionAt > now) {
+                nextTransition_ = std::min(nextTransition_, rec.transitionAt);
+            } else if (rec.state == CtaState::SwappingOut) {
+                rec.state = CtaState::Inactive;
+                traceStateChange(id, CtaState::Inactive, now);
+            } else {
+                rec.state = CtaState::Active;
+                rec.stalledFor = 0;
+                traceStateChange(id, CtaState::Active, now);
+                query_.onCtaIssuableChanged(id, true);
+            }
         }
     }
 
     // 2. Fill any free active slots (e.g. freed by admissions racing).
-    while (true) {
+    while (anyFootprintFits()) {
         const VirtualCtaId incoming = pickSwapIn(false);
         if (incoming == invalidId ||
             !activeSlotFreeFor(fps_[ctas_[incoming].grid]))
@@ -454,9 +467,11 @@ VirtualThreadManager::tick(Cycle now)
     in.stalledFor = 0;
     in.everSwapped = true;
     in.state = CtaState::SwappingIn;
-    // Restore begins after the outgoing state is saved.
+    // Restore begins after the outgoing state is saved (so the incoming
+    // CTA's transition is the later of the pair).
     in.transitionAt = now + config_.vtSwapOutLatency +
                       config_.vtSwapInLatency;
+    nextTransition_ = std::min(nextTransition_, out.transitionAt);
     ++swapIns_;
     ++gridSwapIns_[in.grid];
     traceStateChange(incoming, CtaState::SwappingIn, now);
@@ -468,6 +483,7 @@ VirtualThreadManager::reset()
     fps_ = {};
     activationBlocked_ = {};
     ctas_.clear();
+    nextTransition_ = neverCycle;
     residentCount_ = 0;
     nextAge_ = 0;
     dynamicCap_ = std::numeric_limits<std::uint32_t>::max();
@@ -553,6 +569,12 @@ VirtualThreadManager::restore(Deserializer &des)
         cta.stalledNow = des.get<std::uint8_t>() != 0;
         cta.triggeredNow = des.get<std::uint8_t>() != 0;
         des.get(cta.grid);
+    }
+    nextTransition_ = neverCycle;
+    for (const CtaRec &cta : ctas_) {
+        if (cta.resident && (cta.state == CtaState::SwappingOut ||
+                             cta.state == CtaState::SwappingIn))
+            nextTransition_ = std::min(nextTransition_, cta.transitionAt);
     }
     des.get(residentCount_);
     des.get(nextAge_);

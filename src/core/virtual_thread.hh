@@ -54,13 +54,14 @@ class VtCtaQuery
   public:
     virtual ~VtCtaQuery() = default;
 
-    /** True when no live warp of the CTA could issue this cycle for
-     *  warp-local reasons (dependences, barrier), ignoring per-cycle
-     *  structural ports. */
+    /** True when no live warp of Active CTA @p id could issue this
+     *  cycle for warp-local reasons (dependences, barrier), ignoring
+     *  per-cycle structural ports. Polled from tick() only. */
     virtual bool ctaFullyStalled(VirtualCtaId id) const = 0;
 
-    /** True when at least one warp of the CTA is blocked waiting on an
-     *  off-chip (long-latency) memory dependence. */
+    /** True when at least one warp of Active CTA @p id is blocked
+     *  waiting on an off-chip (long-latency) memory dependence. Polled
+     *  from tick() only. */
     virtual bool ctaAnyWarpLongStalled(VirtualCtaId id) const = 0;
 
     /** Outstanding off-chip transactions across the CTA's warps. */
@@ -71,7 +72,7 @@ class VtCtaQuery
      * (@p issuable) or left (!@p issuable) the Active state. Fired
      * *after* the state change, so isIssuable(@p id) already reports the
      * new value. SmCore uses this to publish/retract the CTA's warps in
-     * its incremental ready sets; not every observer needs it, hence the
+     * its ready bits; not every observer needs it, hence the
      * default no-op. A finished CTA fires no flip — the owner retires it
      * through onCtaFinished and has retired all its warps already.
      */
@@ -248,8 +249,9 @@ class VirtualThreadManager
     /** Would one more Active CTA with footprint @p fp fit the
      *  scheduling limit right now? */
     bool activeSlotFreeFor(const CtaFootprint &fp) const;
-    /** Solo-path shorthand: grid 0's footprint. */
-    bool activeSlotFree() const { return activeSlotFreeFor(fps_[0]); }
+    /** Does any configured grid's footprint fit? If not, no inactive
+     *  CTA can fill a free slot, so pickSwapIn(false) is skipped. */
+    bool anyFootprintFits() const;
     void activate(VirtualCtaId id, Cycle now);
     void releaseActiveSlot(const CtaFootprint &fp);
     /** Best inactive CTA to bring in, or invalidId. When
@@ -272,6 +274,10 @@ class VirtualThreadManager
     /** Slot-indexed (SmCore hands out dense, reused slot ids); iterating
      *  in index order matches the admission-map order it replaces. */
     std::vector<CtaRec> ctas_;
+    /** Earliest transitionAt of a Swapping* CTA (neverCycle if none):
+     *  tick() skips the transition loop before it. Derived state,
+     *  recomputed on restore. */
+    Cycle nextTransition_ = neverCycle;
     std::uint32_t residentCount_ = 0;
     std::uint64_t nextAge_ = 0;
     std::uint32_t dynamicCap_ =

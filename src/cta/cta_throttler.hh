@@ -13,7 +13,7 @@
  * never paused, but no new CTA activates above the cap — the common
  * simplification of DYNCTA-class schemes.
  *
- * The lazy cap also keeps the SM's incremental ready-warp sets simple: a
+ * The lazy cap also keeps the SM's ready bits simple: a
  * cap change never retracts published warps directly — it only gates
  * future VirtualThreadManager activations, and those fire the CTA
  * issuability callbacks that publish or retract whole CTAs.

@@ -89,7 +89,6 @@ configFields(Archive &&field, Config &cfg)
     field(cfg.throttleLowWater);
     field(cfg.maxCycles);
     field(cfg.fastForwardEnabled);
-    field(cfg.incrementalReadySets);
     field(cfg.readySetOracle);
     field(cfg.horizonOracle);
     field(cfg.shardOracle);
@@ -411,7 +410,7 @@ Gpu::buildCheckpoint(std::vector<std::uint8_t> &out)
     horizon_.saveAll(ser);
 
     const auto &payload = ser.buffer();
-    const std::uint32_t version = 2;
+    const std::uint32_t version = 3;
     const std::uint64_t size = payload.size();
     out.clear();
     out.reserve(8 + sizeof(version) + sizeof(size) + payload.size());
@@ -482,7 +481,7 @@ Gpu::restoreImage(const std::uint8_t *data, std::size_t size,
     }
     std::uint32_t version = 0;
     std::memcpy(&version, data + 8, sizeof(version));
-    if (version != 2)
+    if (version != 3)
         VTSIM_FATAL("unsupported checkpoint version ", version, " in ",
                     source);
     std::uint64_t payload_size = 0;

@@ -32,7 +32,7 @@ class Interconnect;
  * These are ready-set publication points: each one can flip a warp's
  * issuability (loadComplete releases a scoreboard hazard; the off-chip
  * pair moves the warp's pendingOffChip across 0), so the SM re-evaluates
- * the warp's ready-list membership and stall counters inside them rather
+ * the warp's ready bit and stall counters inside them rather
  * than rescanning on the next cycle.
  */
 class LdstClient

@@ -16,6 +16,8 @@ SmCore::SmCore(SmId id, const GpuConfig &config, Interconnect &noc)
     : id_(id), config_(config), ldst_(id, config, noc, *this),
       shmem_(config.sharedMemLatency, "sm" + std::to_string(id) + ".shmem"),
       vt_(config, *this, id),
+      readyWords_((config.effMaxWarpsPerSm() + 63) / 64),
+      readyStride_(config.numSchedulers * readyWords_),
       stats_("sm" + std::to_string(id))
 {
     for (std::uint32_t s = 0; s < config.numSchedulers; ++s) {
@@ -26,11 +28,7 @@ SmCore::SmCore(SmId id, const GpuConfig &config, Interconnect &noc)
         schedulers_.push_back(
             WarpScheduler::create(config.schedulerPolicy, active_set));
     }
-    ready_.resize(config.numSchedulers);
-    schedAlive_.assign(config.numSchedulers, 0);
-    schedFrozenAlive_.assign(config.numSchedulers, 0);
-    schedIssuableBarrier_.assign(config.numSchedulers, 0);
-    schedIssuableOffchip_.assign(config.numSchedulers, 0);
+    sched_ = sumSchedulers();
     stats_.addCounter("instructions", &instructionsIssued_,
                       "warp instructions issued");
     stats_.addCounter("thread_instructions", &threadInstructions_,
@@ -171,15 +169,6 @@ SmCore::beginGridBinding(GlobalMemory &gmem)
     onExternalEvent();
     grids_.clear();
     gmem_ = &gmem;
-
-    // Active CTAs respect the scheduling limit, so no sweep can see more
-    // than effMaxWarpsPerSm() candidates: size the scratch and the ready
-    // lists once here instead of growing them over the first ticks.
-    cands_.reserve(config_.effMaxWarpsPerSm());
-    refs_.reserve(config_.effMaxWarpsPerSm());
-    decodes_.reserve(config_.effMaxWarpsPerSm());
-    for (auto &list : ready_)
-        list.reserve(config_.effMaxWarpsPerSm());
 }
 
 void
@@ -236,6 +225,7 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
     } else {
         slot = ctas_.size();
         ctas_.emplace_back();
+        readyBits_.resize(ctas_.size() * readyStride_, 0);
     }
 
     const Kernel &kernel = *grids_[grid].kernel;
@@ -244,18 +234,12 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
     cta.valid = true;
     cta.grid = grid;
     cta.age = nextCtaAge_++;
-    cta.pendingOffChipTotal = 0;
     const std::uint32_t tpc = launch.threadsPerCta();
     cta.func.init(assignment.linearId, assignment.idx, tpc,
                   kernel.regsPerThread(), kernel.sharedBytesPerCta());
 
     const std::uint32_t warps = launch.warpsPerCta();
     cta.warps.assign(warps, WarpContext());
-    cta.warpsAlive = warps;
-    cta.schedWarps.assign(config_.numSchedulers, {});
-    cta.aliveBySched.assign(config_.numSchedulers, 0);
-    cta.barrierBySched.assign(config_.numSchedulers, 0);
-    cta.offchipBySched.assign(config_.numSchedulers, 0);
     for (std::uint32_t w = 0; w < warps; ++w) {
         const std::uint32_t first = w * warpSize;
         const std::uint32_t live = std::min(warpSize, tpc - first);
@@ -263,16 +247,11 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
             (cta.age * warps + w) % config_.numSchedulers;
         cta.warps[w].init(slot, w, ActiveMask::firstLanes(live),
                           kernel.regsPerThread(), sched);
-        cta.schedWarps[sched].push_back(w);
-        ++cta.aliveBySched[sched];
     }
-    // The CTA enters the aggregates as frozen (it is admitted Inactive);
-    // onAdmit may activate it at once, which fires onCtaIssuableChanged
-    // and moves the counters over and publishes the warps.
-    for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        schedAlive_[s] += cta.aliveBySched[s];
-        schedFrozenAlive_[s] += cta.aliveBySched[s];
-    }
+    // The CTA enters as frozen (it is admitted Inactive); onAdmit may
+    // activate it at once, which fires onCtaIssuableChanged.
+    cta.issue = scanCta(slot, readyOf(slot));
+    sched_ = sumSchedulers();
 
     ++residentCount_;
     barriers_.ctaLaunched(slot);
@@ -332,6 +311,120 @@ SmCore::chargeBudget(const Instruction &inst, IssueBudgets &budgets) const
     }
 }
 
+namespace {
+
+/**
+ * Call @p f(w) for each warp w whose bit is set in the @p n ready words
+ * at @p words — one or more schedulers' worth of @p per_sched words
+ * each, ascending w within a scheduler — until @p f returns true;
+ * returns whether it did.
+ */
+template <typename F>
+bool
+anyBit(const std::uint64_t *words, std::size_t n, std::uint32_t per_sched,
+       F &&f)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        for (std::uint64_t m = words[k]; m != 0; m &= m - 1) {
+            const std::uint32_t w = std::uint32_t(k % per_sched) * 64 +
+                                    std::uint32_t(__builtin_ctzll(m));
+            if (f(w))
+                return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+/**
+ * Scheduler s's candidates this cycle: ready-set members whose readyAt
+ * has come, whose port (LDST queue, shared-memory port) is free and
+ * whose unit has budget left. Only the probed warps are evaluated.
+ * Records the last candidate found — the one the policy picks.
+ */
+class SmCore::IssueProbe final : public CandidateProbe
+{
+  public:
+    IssueProbe(const SmCore &sm, std::uint32_t s, Cycle now,
+               const IssueBudgets &budgets)
+        : sm_(sm), s_(s), now_(now), budgets_(budgets)
+    {}
+
+    bool
+    has(std::uint64_t key) override
+    {
+        const std::uint64_t age = key >> 8;
+        const std::uint32_t w = key & 0xff;
+        const auto it = sm_.activeFrom(age);
+        if (it == sm_.activeByAge_.end() || it->age != age)
+            return false;
+        const std::uint64_t word =
+            sm_.readyOf(it->slot)[s_ * sm_.readyWords_ + w / 64];
+        return (word >> (w % 64) & 1) != 0 && candidate(it->slot, w);
+    }
+
+    std::uint64_t
+    firstFrom(std::uint64_t from) override
+    {
+        const std::uint64_t age = from >> 8;
+        for (auto it = sm_.activeFrom(age); it != sm_.activeByAge_.end();
+             ++it) {
+            const std::uint32_t w0 = it->age == age ? from & 0xff : 0;
+            const std::uint64_t *words =
+                sm_.readyOf(it->slot) + s_ * sm_.readyWords_;
+            for (std::uint32_t k = w0 / 64; k < sm_.readyWords_; ++k) {
+                std::uint64_t m = words[k];
+                if (k == w0 / 64)
+                    m &= ~0ull << (w0 % 64);
+                for (; m != 0; m &= m - 1) {
+                    const std::uint32_t w =
+                        k * 64 + std::uint32_t(__builtin_ctzll(m));
+                    if (candidate(it->slot, w))
+                        return it->age * 256 + w;
+                }
+            }
+        }
+        return noCandidate;
+    }
+
+    VirtualCtaId slot = 0;
+    std::uint32_t warp = 0;
+    const Instruction *inst = nullptr;
+
+  private:
+    bool
+    candidate(VirtualCtaId cta_slot, std::uint32_t w)
+    {
+        const VirtualCta &cta = sm_.ctas_[cta_slot];
+        const WarpContext &wc = cta.warps[w];
+        if (wc.readyAt() > now_)
+            return false;
+        const Instruction &i = sm_.kernelOf(cta)->at(wc.stack().pc());
+        if ((i.isGlobalMem() && !sm_.ldst_.canAccept()) ||
+            (i.isSharedMem() && !sm_.shmem_.canAccept(now_)) ||
+            !sm_.budgetAllows(i, budgets_)) {
+            return false;
+        }
+        slot = cta_slot;
+        warp = w;
+        inst = &i;
+        return true;
+    }
+
+    const SmCore &sm_;
+    const std::uint32_t s_;
+    const Cycle now_;
+    const IssueBudgets &budgets_;
+};
+
+std::vector<SmCore::ActiveCta>::const_iterator
+SmCore::activeFrom(std::uint64_t age) const
+{
+    return std::lower_bound(activeByAge_.begin(), activeByAge_.end(),
+                            ActiveCta{age, 0});
+}
+
 void
 SmCore::tick(Cycle now)
 {
@@ -380,134 +473,28 @@ SmCore::tick(Cycle now)
     vt_.tick(now);
 
     if (oracleEnabled())
-        verifyReadySets();
+        verifyReadySets(now);
 
-    // 4. Issue: each scheduler picks one warp among its ready ones. The
-    //    same sweep gathers the bubble attribution, so a scheduler slot
-    //    that issues nothing is classified without a second warp scan
-    //    (the outcome is identical to classifyIssueBubble()). With
-    //    incremental ready sets the sweep visits only the ready list and
-    //    derives the bubble flags from the cached per-scheduler
-    //    counters; the else branch below is the original full rescan,
-    //    kept as the reference the oracle and the on/off property tests
-    //    compare against.
+    // 4. Issue: each scheduler's policy probes the warps in its ready
+    //    bits and picks one; a scheduler slot that issues nothing is
+    //    attributed from one walk of its ready bits.
     const StallBreakdown before_issue = stalls_;
     IssueBudgets budgets{config_.aluThroughputPerSm,
                          config_.sfuThroughputPerSm,
                          config_.ldstThroughputPerSm};
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        cands_.clear();
-        refs_.clear();
-        decodes_.clear();
-        if (config_.incrementalReadySets) {
-            // Structural ports are constant within one scheduler's scan
-            // (issues by earlier schedulers already happened): hoist.
-            const bool ldst_ok = ldst_.canAccept();
-            const bool shmem_ok = shmem_.canAccept(now);
-            bool mem_blocked = false;
-            std::uint32_t ready_offchip = 0;
-            for (const std::uint64_t key : ready_[s]) {
-                const VirtualCtaId slot = key >> 8;
-                VirtualCta &cta = ctas_[slot];
-                const std::uint32_t w = key & 0xff;
-                WarpContext &warp = cta.warps[w];
-                const Instruction &inst =
-                    kernelOf(cta)->at(warp.stack().pc());
-                const bool can_issue =
-                    warp.readyAt() <= now &&
-                    (!inst.isGlobalMem() || ldst_ok) &&
-                    (!inst.isSharedMem() || shmem_ok);
-                if (warp.pendingOffChip() > 0) {
-                    ++ready_offchip;
-                    if (!can_issue)
-                        mem_blocked = true;
-                }
-                if (!can_issue)
-                    continue;
-                if (!budgetAllows(inst, budgets))
-                    continue;
-                const std::uint64_t ckey = cta.age * 256 + w;
-                cands_.push_back({ckey, ckey});
-                refs_.emplace_back(slot, w);
-                decodes_.push_back(&inst);
-            }
-            if (cands_.empty()) {
-                // Off-chip warps missing from the ready list (barrier or
-                // hazard blocked) cannot issue, so they are mem-blocked
-                // without being visited.
-                BubbleKind kind = BubbleKind::Short;
-                const std::uint32_t issuable_alive =
-                    schedAlive_[s] - schedFrozenAlive_[s];
-                if (schedAlive_[s] == 0)
-                    kind = BubbleKind::Idle;
-                else if (mem_blocked ||
-                         schedIssuableOffchip_[s] > ready_offchip)
-                    kind = BubbleKind::Mem;
-                else if (issuable_alive == schedIssuableBarrier_[s] &&
-                         schedFrozenAlive_[s] == 0)
-                    kind = BubbleKind::Barrier;
-                else if (schedFrozenAlive_[s] > 0)
-                    kind = BubbleKind::Swap;
-                chargeBubble(kind, 1);
-                continue;
-            }
-        } else {
-            bool any_warp = false;
-            bool any_frozen = false;
-            bool any_mem_blocked = false;
-            bool all_barrier = true;
-            for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
-                VirtualCta &cta = ctas_[slot];
-                if (!cta.valid || cta.aliveBySched[s] == 0)
-                    continue;
-                any_warp = true;
-                if (!vt_.isIssuable(slot)) {
-                    any_frozen = true;
-                    continue;
-                }
-                for (std::uint32_t w : cta.schedWarps[s]) {
-                    WarpContext &warp = cta.warps[w];
-                    if (warp.done())
-                        continue;
-                    if (!warp.atBarrier())
-                        all_barrier = false;
-                    const bool can_issue =
-                        warpCanIssueLocal(cta, warp, now);
-                    if (warp.pendingOffChip() > 0 && !can_issue)
-                        any_mem_blocked = true;
-                    if (!can_issue)
-                        continue;
-                    const Instruction &inst =
-                        kernelOf(cta)->at(warp.stack().pc());
-                    if (!budgetAllows(inst, budgets))
-                        continue;
-                    const std::uint64_t key = cta.age * 256 + w;
-                    cands_.push_back({key, key});
-                    refs_.emplace_back(slot, w);
-                    decodes_.push_back(&inst);
-                }
-            }
-            if (cands_.empty()) {
-                BubbleKind kind = BubbleKind::Short;
-                if (!any_warp)
-                    kind = BubbleKind::Idle;
-                else if (any_mem_blocked)
-                    kind = BubbleKind::Mem;
-                else if (all_barrier && !any_frozen)
-                    kind = BubbleKind::Barrier;
-                else if (any_frozen)
-                    kind = BubbleKind::Swap;
-                chargeBubble(kind, 1);
-                continue;
-            }
+        IssueProbe probe(*this, s, now, budgets);
+        const std::uint64_t key = schedulers_[s]->pick(probe);
+        if (key == noCandidate) {
+            chargeBubble(classifyIssueBubble(s, now), 1);
+            continue;
         }
-        const std::size_t chosen = schedulers_[s]->pick(cands_);
-        const auto [slot, w] = refs_[chosen];
-        const Instruction &inst = *decodes_[chosen];
-        VirtualCta &cta = ctas_[slot];
-        chargeBudget(inst, budgets);
+        VirtualCta &cta = ctas_[probe.slot];
+        VTSIM_ASSERT(key == cta.age * 256 + probe.warp,
+                     "policy picked a warp the probe did not report");
+        chargeBudget(*probe.inst, budgets);
         ++stalls_.issued;
-        issueWarp(cta, slot, cta.warps[w], inst, now);
+        issueWarp(cta, probe.slot, cta.warps[probe.warp], *probe.inst, now);
     }
 
     // 5. DYNCTA-style throttling: feed this cycle's observation into the
@@ -552,71 +539,40 @@ SmCore::tick(Cycle now)
 SmCore::BubbleKind
 SmCore::classifyIssueBubble(std::uint32_t scheduler, Cycle now) const
 {
-    // Nothing issued from this scheduler slot: attribute the bubble.
-    bool any_warp = false;
-    bool any_frozen = false;
-    bool any_mem_blocked = false;
-    bool all_barrier = true;
-    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
-        const VirtualCta &cta = ctas_[slot];
-        if (!cta.valid || cta.aliveBySched[scheduler] == 0)
-            continue;
-        any_warp = true;
-        if (!vt_.isIssuable(slot)) {
-            any_frozen = true;
-            continue;
-        }
-        for (std::uint32_t w : cta.schedWarps[scheduler]) {
-            const WarpContext &warp = cta.warps[w];
-            if (warp.done())
-                continue;
-            if (!warp.atBarrier())
-                all_barrier = false;
-            if (warp.pendingOffChip() > 0 &&
-                !warpCanIssueLocal(cta, warp, now))
-                any_mem_blocked = true;
-        }
-    }
-    if (!any_warp)
+    if (sched_.alive[scheduler] == 0)
         return BubbleKind::Idle;
-    if (any_mem_blocked)
-        return BubbleKind::Mem;
-    if (all_barrier && !any_frozen)
-        return BubbleKind::Barrier;
-    if (any_frozen)
-        return BubbleKind::Swap;
-    return BubbleKind::Short;
-}
-
-SmCore::BubbleKind
-SmCore::classifyIssueBubbleFast(std::uint32_t scheduler, Cycle now) const
-{
-    if (schedAlive_[scheduler] == 0)
-        return BubbleKind::Idle;
-    const bool ldst_ok = ldst_.canAccept();
+    // A ready off-chip warp that cannot issue is mem-blocked; off-chip
+    // warps missing from the ready bits (barrier or hazard blocked)
+    // cannot issue either, so the counter covers them unvisited.
     bool mem_blocked = false;
     std::uint32_t ready_offchip = 0;
-    for (const std::uint64_t key : ready_[scheduler]) {
-        const VirtualCta &cta = ctas_[key >> 8];
-        const WarpContext &warp = cta.warps[key & 0xff];
-        if (warp.pendingOffChip() == 0)
-            continue;
-        ++ready_offchip;
-        const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
-        if (warp.readyAt() > now || (inst.isGlobalMem() && !ldst_ok) ||
-            (inst.isSharedMem() && !shmem_.canAccept(now))) {
-            mem_blocked = true;
-        }
+    for (const ActiveCta &a : activeByAge_) {
+        const VirtualCta &cta = ctas_[a.slot];
+        anyBit(readyOf(a.slot) + scheduler * readyWords_, readyWords_,
+               readyWords_, [&](std::uint32_t w) {
+                   const WarpContext &warp = cta.warps[w];
+                   if (warp.pendingOffChip() == 0)
+                       return false;
+                   ++ready_offchip;
+                   const Instruction &inst =
+                       kernelOf(cta)->at(warp.stack().pc());
+                   if (warp.readyAt() > now ||
+                       (inst.isGlobalMem() && !ldst_.canAccept()) ||
+                       (inst.isSharedMem() && !shmem_.canAccept(now))) {
+                       mem_blocked = true;
+                   }
+                   return false;
+               });
     }
-    if (mem_blocked || schedIssuableOffchip_[scheduler] > ready_offchip)
+    if (mem_blocked || sched_.issuableOffchip[scheduler] > ready_offchip)
         return BubbleKind::Mem;
     const std::uint32_t issuable_alive =
-        schedAlive_[scheduler] - schedFrozenAlive_[scheduler];
-    if (issuable_alive == schedIssuableBarrier_[scheduler] &&
-        schedFrozenAlive_[scheduler] == 0) {
+        sched_.alive[scheduler] - sched_.frozenAlive[scheduler];
+    if (issuable_alive == sched_.issuableBarrier[scheduler] &&
+        sched_.frozenAlive[scheduler] == 0) {
         return BubbleKind::Barrier;
     }
-    if (schedFrozenAlive_[scheduler] > 0)
+    if (sched_.frozenAlive[scheduler] > 0)
         return BubbleKind::Swap;
     return BubbleKind::Short;
 }
@@ -675,40 +631,26 @@ SmCore::computeNextEvent(Cycle now)
     // a warp that could issue right now means no skipping at all. Warps
     // blocked on hazards, barriers, or off-chip memory unblock only via
     // writeback/NoC events already accounted above or globally — so the
-    // ready lists alone carry the warp term. (A hazard-blocked warp's
+    // ready bits alone carry the warp term. (A hazard-blocked warp's
     // readyAt is no event either: when the release event lands and
     // publishes it, a still-future readyAt re-enters the horizon here.)
-    if (config_.incrementalReadySets) {
-        for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-            for (const std::uint64_t key : ready_[s]) {
-                const VirtualCta &cta = ctas_[key >> 8];
-                const WarpContext &warp = cta.warps[key & 0xff];
+    for (const ActiveCta &a : activeByAge_) {
+        const VirtualCta &cta = ctas_[a.slot];
+        const bool issuable_now = anyBit(
+            readyOf(a.slot), readyStride_, readyWords_,
+            [&](std::uint32_t w) {
+                const WarpContext &warp = cta.warps[w];
                 if (warp.readyAt() > now) {
                     next = std::min(next, warp.readyAt());
-                    continue;
+                    return false;
                 }
                 const Instruction &inst =
                     kernelOf(cta)->at(warp.stack().pc());
-                if ((!inst.isGlobalMem() || ldst_.canAccept()) &&
-                    (!inst.isSharedMem() || shmem_.canAccept(now))) {
-                    return now;
-                }
-            }
-        }
-        return next;
-    }
-    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
-        const VirtualCta &cta = ctas_[slot];
-        if (!cta.valid || cta.warpsAlive == 0 || !vt_.isIssuable(slot))
-            continue;
-        for (const WarpContext &warp : cta.warps) {
-            if (warp.done() || warp.atBarrier())
-                continue;
-            if (warp.readyAt() > now)
-                next = std::min(next, warp.readyAt());
-            else if (warpCanIssueLocal(cta, warp, now))
-                return now;
-        }
+                return (!inst.isGlobalMem() || ldst_.canAccept()) &&
+                       (!inst.isSharedMem() || shmem_.canAccept(now));
+            });
+        if (issuable_now)
+            return now;
     }
     return next;
 }
@@ -756,9 +698,7 @@ SmCore::accountIdleCycles(Cycle now, std::uint64_t n)
     vt_.fastForwardIdle(n);
     bool any_mem = false;
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        const BubbleKind kind = config_.incrementalReadySets
-                                    ? classifyIssueBubbleFast(s, now)
-                                    : classifyIssueBubble(s, now);
+        const BubbleKind kind = classifyIssueBubble(s, now);
         chargeBubble(kind, n);
         any_mem = any_mem || kind == BubbleKind::Mem;
     }
@@ -814,8 +754,8 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
                 mtrace_->barrier(now, id_);
             warp.stack().advance();
             warp.setAtBarrier(true);
-            ++cta.barrierBySched[warp.schedId()];
-            ++schedIssuableBarrier_[warp.schedId()];
+            ++cta.issue.barrierBySched[warp.schedId()];
+            ++sched_.issuableBarrier[warp.schedId()];
             barriers_.arrive(slot, w);
             maybeReleaseBarrier(slot, now);
         } else { // EXIT
@@ -823,7 +763,7 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
             if (warp.done()) {
                 retireWarpCounters(cta, warp);
                 refreshWarp(slot, w); // Retract before warps can clear.
-                if (cta.warpsAlive == 0) {
+                if (cta.issue.warpsAlive == 0) {
                     finishCta(slot, now);
                     return;
                 }
@@ -881,17 +821,17 @@ SmCore::retireWarpCounters(VirtualCta &cta, const WarpContext &warp)
 {
     // Only an issuing warp can retire, so its CTA is Active: its alive
     // count moves out of the plain aggregate, never the frozen one.
-    VTSIM_ASSERT(cta.warpsAlive > 0, "alive underflow");
-    --cta.warpsAlive;
+    VTSIM_ASSERT(cta.issue.warpsAlive > 0, "alive underflow");
+    --cta.issue.warpsAlive;
     const std::uint32_t sched = warp.schedId();
-    VTSIM_ASSERT(cta.aliveBySched[sched] > 0,
+    VTSIM_ASSERT(cta.issue.aliveBySched[sched] > 0,
                  "per-scheduler alive underflow");
-    --cta.aliveBySched[sched];
-    VTSIM_ASSERT(schedAlive_[sched] > 0, "aggregate alive underflow");
-    --schedAlive_[sched];
+    --cta.issue.aliveBySched[sched];
+    VTSIM_ASSERT(sched_.alive[sched] > 0, "aggregate alive underflow");
+    --sched_.alive[sched];
     if (warp.pendingOffChip() > 0) {
-        --cta.offchipBySched[sched];
-        --schedIssuableOffchip_[sched];
+        --cta.issue.offchipBySched[sched];
+        --sched_.issuableOffchip[sched];
     }
 }
 
@@ -899,19 +839,19 @@ void
 SmCore::maybeReleaseBarrier(VirtualCtaId slot, Cycle now)
 {
     VirtualCta &cta = ctas_[slot];
-    if (!barriers_.shouldRelease(slot, cta.warpsAlive))
+    if (!barriers_.shouldRelease(slot, cta.issue.warpsAlive))
         return;
     VTSIM_TRACE(TraceFlag::Barrier, now, stats_.name(), "cta ", slot,
-                " barrier released (", cta.warpsAlive, " warps)");
+                " barrier released (", cta.issue.warpsAlive, " warps)");
     if (traceJson_)
         traceJson_->instant(id_, slot, now, "barrier-release", "barrier");
     const bool issuable = vt_.isIssuable(slot);
     barriers_.releaseInto(slot, barrierScratch_);
     for (std::uint32_t w : barrierScratch_) {
         cta.warps[w].setAtBarrier(false);
-        --cta.barrierBySched[cta.warps[w].schedId()];
+        --cta.issue.barrierBySched[cta.warps[w].schedId()];
         if (issuable)
-            --schedIssuableBarrier_[cta.warps[w].schedId()];
+            --sched_.issuableBarrier[cta.warps[w].schedId()];
         cta.warps[w].setReadyAt(now + 1);
         refreshWarp(slot, w);
     }
@@ -926,16 +866,15 @@ SmCore::finishCta(VirtualCtaId slot, Cycle now)
                      "CTA retired with off-chip transactions in flight");
         maxSimtDepth_ = std::max(maxSimtDepth_, warp.stack().maxDepth());
     }
-    // All warps retired, so every counter and ready-list contribution of
-    // this CTA is already zero; no retraction needed here.
+    // All warps retired, so every counter and ready bit of this CTA is
+    // already zero; it only leaves the age order (VT fires no flip for a
+    // finished CTA).
+    activeByAge_.erase(activeFrom(cta.age));
     vt_.onCtaFinished(slot, now);
     barriers_.ctaFinished(slot);
     cta.valid = false;
     cta.warps.clear();
-    cta.schedWarps.clear();
-    cta.aliveBySched.clear();
-    cta.barrierBySched.clear();
-    cta.offchipBySched.clear();
+    cta.issue = {};
     freeSlots_.push_back(slot);
     VTSIM_ASSERT(residentCount_ > 0, "resident underflow");
     --residentCount_;
@@ -978,11 +917,11 @@ SmCore::offChipIssued(VirtualCtaId vcta, std::uint32_t warp_in_cta)
     VirtualCta &cta = ctas_[vcta];
     WarpContext &warp = cta.warps[warp_in_cta];
     warp.addOffChip();
-    ++cta.pendingOffChipTotal;
+    ++cta.issue.pendingOffChipTotal;
     if (warp.pendingOffChip() == 1 && !warp.done()) {
-        ++cta.offchipBySched[warp.schedId()];
+        ++cta.issue.offchipBySched[warp.schedId()];
         if (vt_.isIssuable(vcta))
-            ++schedIssuableOffchip_[warp.schedId()];
+            ++sched_.issuableOffchip[warp.schedId()];
     }
 }
 
@@ -1001,45 +940,28 @@ SmCore::offChipReturned(VirtualCtaId vcta, std::uint32_t warp_in_cta)
     VirtualCta &cta = ctas_[vcta];
     WarpContext &warp = cta.warps[warp_in_cta];
     warp.removeOffChip();
-    VTSIM_ASSERT(cta.pendingOffChipTotal > 0,
+    VTSIM_ASSERT(cta.issue.pendingOffChipTotal > 0,
                  "off-chip aggregate underflow");
-    --cta.pendingOffChipTotal;
+    --cta.issue.pendingOffChipTotal;
     if (warp.pendingOffChip() == 0 && !warp.done()) {
-        --cta.offchipBySched[warp.schedId()];
+        --cta.issue.offchipBySched[warp.schedId()];
         if (vt_.isIssuable(vcta))
-            --schedIssuableOffchip_[warp.schedId()];
+            --sched_.issuableOffchip[warp.schedId()];
     }
 }
 
 bool
 SmCore::ctaFullyStalled(VirtualCtaId id) const
 {
-    const VirtualCta &cta = ctas_[id];
-    VTSIM_ASSERT(cta.valid, "query on retired CTA");
-    // warpCanIssueLocal(warp, now, /*ignore_structural=*/true) is exactly
-    // warpReadyMember(warp) && readyAt <= now, so for an issuable CTA the
-    // ready lists already hold the member warps: range-scan them instead
-    // of re-deriving hazards for every warp (this runs per active CTA per
-    // cycle as the VT swap trigger's stall poll).
-    if (config_.incrementalReadySets && vt_.isIssuable(id)) {
-        const std::uint64_t lo = readyKey(id, 0);
-        for (const std::vector<std::uint64_t> &list : ready_) {
-            const auto first =
-                std::lower_bound(list.begin(), list.end(), lo);
-            const auto last = std::lower_bound(first, list.end(), lo + 256);
-            for (auto it = first; it != last; ++it) {
-                if (cta.warps[*it & 0xff].readyAt() <= now_)
-                    return false;
-            }
-        }
-        return true;
-    }
-    for (const WarpContext &warp : cta.warps) {
-        if (warp.done())
-            continue;
-        if (warpCanIssueLocal(cta, warp, now_, true))
+    // Issuable ignoring the ports means warpReadyMember && readyAt <=
+    // now, and the VT manager polls before this cycle's issue, when no
+    // warp has readyAt > now (readyAt is only ever set to cycle + 1, by
+    // an issue or a barrier release; verifyReadySets asserts it). So a
+    // CTA is fully stalled iff it has no ready bit.
+    const std::uint64_t *words = readyOf(id);
+    for (std::uint32_t k = 0; k < readyStride_; ++k)
+        if (words[k] != 0)
             return false;
-    }
     return true;
 }
 
@@ -1047,40 +969,23 @@ bool
 SmCore::ctaAnyWarpLongStalled(VirtualCtaId id) const
 {
     const VirtualCta &cta = ctas_[id];
-    VTSIM_ASSERT(cta.valid, "query on retired CTA");
-    // Same identity as ctaFullyStalled(): an off-chip warp is long-stalled
-    // unless it sits in a ready list with a mature readyAt. Comparing the
-    // issuable-now off-chip count against the CTA's off-chip total answers
-    // the existence query without scanning the warps.
-    if (config_.incrementalReadySets && vt_.isIssuable(id)) {
-        std::uint32_t offchip_total = 0;
-        for (std::uint32_t s = 0; s < config_.numSchedulers; ++s)
-            offchip_total += cta.offchipBySched[s];
-        if (offchip_total == 0)
-            return false;
-        std::uint32_t offchip_ready = 0;
-        const std::uint64_t lo = readyKey(id, 0);
-        for (const std::vector<std::uint64_t> &list : ready_) {
-            const auto first =
-                std::lower_bound(list.begin(), list.end(), lo);
-            const auto last = std::lower_bound(first, list.end(), lo + 256);
-            for (auto it = first; it != last; ++it) {
-                const WarpContext &warp = cta.warps[*it & 0xff];
-                if (warp.pendingOffChip() > 0 && warp.readyAt() <= now_)
-                    ++offchip_ready;
-            }
-        }
-        return offchip_ready < offchip_total;
-    }
-    for (const WarpContext &warp : cta.warps) {
-        if (warp.done())
-            continue;
-        if (warp.pendingOffChip() > 0 &&
-            !warpCanIssueLocal(cta, warp, now_, true)) {
-            return true;
-        }
-    }
-    return false;
+    VTSIM_ASSERT(cta.valid && vt_.isIssuable(id),
+                 "stall poll of a CTA that is not Active");
+    // By the same identity an off-chip warp is long-stalled unless its
+    // ready bit is set: compare the ready off-chip warps against all of
+    // the CTA's off-chip warps.
+    std::uint32_t offchip_total = 0;
+    for (const std::uint32_t n : cta.issue.offchipBySched)
+        offchip_total += n;
+    if (offchip_total == 0)
+        return false;
+    std::uint32_t offchip_ready = 0;
+    anyBit(readyOf(id), readyStride_, readyWords_,
+           [&](std::uint32_t w) {
+        offchip_ready += cta.warps[w].pendingOffChip() > 0 ? 1 : 0;
+        return false;
+    });
+    return offchip_ready < offchip_total;
 }
 
 std::uint32_t
@@ -1088,25 +993,22 @@ SmCore::ctaPendingOffChip(VirtualCtaId id) const
 {
     const VirtualCta &cta = ctas_[id];
     VTSIM_ASSERT(cta.valid, "query on retired CTA");
-    return cta.pendingOffChipTotal;
+    return cta.issue.pendingOffChipTotal;
 }
 
 void
 SmCore::refreshWarp(VirtualCtaId slot, std::uint32_t w)
 {
-    const VirtualCta &cta = ctas_[slot];
+    VirtualCta &cta = ctas_[slot];
     if (!cta.valid)
         return;
     const WarpContext &warp = cta.warps[w];
-    const bool want = vt_.isIssuable(slot) && warpReadyMember(cta, warp);
-    std::vector<std::uint64_t> &list = ready_[warp.schedId()];
-    const std::uint64_t key = readyKey(slot, w);
-    const auto it = std::lower_bound(list.begin(), list.end(), key);
-    const bool have = it != list.end() && *it == key;
-    if (want && !have)
-        list.insert(it, key);
-    else if (!want && have)
-        list.erase(it);
+    const std::uint64_t bit = 1ull << (w % 64);
+    std::uint64_t &word = readyOf(slot)[warp.schedId() * readyWords_ + w / 64];
+    if (vt_.isIssuable(slot) && warpReadyMember(cta, warp))
+        word |= bit;
+    else
+        word &= ~bit;
 }
 
 void
@@ -1114,36 +1016,17 @@ SmCore::onCtaIssuableChanged(VirtualCtaId id, bool issuable)
 {
     VirtualCta &cta = ctas_[id];
     VTSIM_ASSERT(cta.valid, "issuability flip of retired CTA ", id);
-    for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        if (issuable) {
-            VTSIM_ASSERT(schedFrozenAlive_[s] >= cta.aliveBySched[s],
-                         "frozen aggregate underflow");
-            schedFrozenAlive_[s] -= cta.aliveBySched[s];
-            schedIssuableBarrier_[s] += cta.barrierBySched[s];
-            schedIssuableOffchip_[s] += cta.offchipBySched[s];
-        } else {
-            schedFrozenAlive_[s] += cta.aliveBySched[s];
-            VTSIM_ASSERT(schedIssuableBarrier_[s] >= cta.barrierBySched[s]
-                         && schedIssuableOffchip_[s] >=
-                                cta.offchipBySched[s],
-                         "issuable aggregate underflow");
-            schedIssuableBarrier_[s] -= cta.barrierBySched[s];
-            schedIssuableOffchip_[s] -= cta.offchipBySched[s];
-        }
-    }
+    // Flips are rare (activation, swap): re-sum rather than move each
+    // counter between the frozen and issuable aggregates.
+    sched_ = sumSchedulers();
+    const auto pos = activeFrom(cta.age);
     if (issuable) {
+        activeByAge_.insert(pos, {cta.age, id});
         for (std::uint32_t w = 0; w < cta.warps.size(); ++w)
             refreshWarp(id, w);
     } else {
-        // The CTA's keys form one contiguous range in every list.
-        const std::uint64_t lo = readyKey(id, 0);
-        for (std::vector<std::uint64_t> &list : ready_) {
-            const auto first =
-                std::lower_bound(list.begin(), list.end(), lo);
-            const auto last =
-                std::lower_bound(first, list.end(), lo + 256);
-            list.erase(first, last);
-        }
+        activeByAge_.erase(pos);
+        std::fill_n(readyOf(id), readyStride_, 0);
     }
 }
 
@@ -1156,11 +1039,7 @@ SmCore::rebindGrid(GridId grid, const Kernel &kernel,
     grids_[grid].kernel = &kernel;
     grids_[grid].launch = &launch;
     gmem_ = &gmem;
-    cands_.reserve(config_.effMaxWarpsPerSm());
-    refs_.reserve(config_.effMaxWarpsPerSm());
-    decodes_.reserve(config_.effMaxWarpsPerSm());
-    for (auto &list : ready_)
-        list.reserve(config_.effMaxWarpsPerSm());
+    rebuildIssueState();
 }
 
 void
@@ -1180,16 +1059,10 @@ SmCore::reset()
     freeSlots_.clear();
     residentCount_ = 0;
     nextCtaAge_ = 0;
-    cands_.clear();
-    refs_.clear();
-    decodes_.clear();
     barrierScratch_.clear();
-    for (auto &list : ready_)
-        list.clear();
-    schedAlive_.assign(config_.numSchedulers, 0);
-    schedFrozenAlive_.assign(config_.numSchedulers, 0);
-    schedIssuableBarrier_.assign(config_.numSchedulers, 0);
-    schedIssuableOffchip_.assign(config_.numSchedulers, 0);
+    readyBits_.clear();
+    activeByAge_.clear();
+    sched_ = sumSchedulers();
     wbQueue_ = {};
     now_ = 0;
     maxSimtDepth_ = 0;
@@ -1229,25 +1102,10 @@ SmCore::save(Serializer &ser) const
         ser.put<std::uint64_t>(cta.warps.size());
         for (const WarpContext &warp : cta.warps)
             warp.save(ser);
-        ser.put<std::uint64_t>(cta.schedWarps.size());
-        for (const auto &sw : cta.schedWarps)
-            ser.putVec(sw);
-        ser.putVec(cta.aliveBySched);
-        ser.putVec(cta.barrierBySched);
-        ser.putVec(cta.offchipBySched);
-        ser.put(cta.warpsAlive);
-        ser.put(cta.pendingOffChipTotal);
     }
     ser.putVec(freeSlots_);
     ser.put(residentCount_);
     ser.put(nextCtaAge_);
-    ser.put<std::uint64_t>(ready_.size());
-    for (const auto &list : ready_)
-        ser.putVec(list);
-    ser.putVec(schedAlive_);
-    ser.putVec(schedFrozenAlive_);
-    ser.putVec(schedIssuableBarrier_);
-    ser.putVec(schedIssuableOffchip_);
     auto wbs = wbQueue_;
     ser.put<std::uint64_t>(wbs.size());
     while (!wbs.empty()) {
@@ -1304,28 +1162,10 @@ SmCore::restore(Deserializer &des)
         cta.warps.assign(warp_count, WarpContext());
         for (WarpContext &warp : cta.warps)
             warp.restore(des);
-        const auto sched_count = des.get<std::uint64_t>();
-        cta.schedWarps.assign(sched_count, {});
-        for (auto &sw : cta.schedWarps)
-            des.getVec(sw);
-        des.getVec(cta.aliveBySched);
-        des.getVec(cta.barrierBySched);
-        des.getVec(cta.offchipBySched);
-        des.get(cta.warpsAlive);
-        des.get(cta.pendingOffChipTotal);
     }
     des.getVec(freeSlots_);
     des.get(residentCount_);
     des.get(nextCtaAge_);
-    const auto ready_count = des.get<std::uint64_t>();
-    VTSIM_ASSERT(ready_count == ready_.size(),
-                 "checkpoint scheduler count mismatch");
-    for (auto &list : ready_)
-        des.getVec(list);
-    des.getVec(schedAlive_);
-    des.getVec(schedFrozenAlive_);
-    des.getVec(schedIssuableBarrier_);
-    des.getVec(schedIssuableOffchip_);
     wbQueue_ = {};
     const auto wb_count = des.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < wb_count; ++i) {
@@ -1366,55 +1206,106 @@ SmCore::restore(Deserializer &des)
     vt_.restore(des);
     if (throttler_)
         throttler_->restore(des);
+    // A restore into a fresh Gpu has no kernels bound yet, so the ready
+    // bits come out clear here; rebindGrid() rebuilds them.
+    rebuildIssueState();
 }
 
 void
-SmCore::verifyReadySets() const
+SmCore::rebuildIssueState()
 {
-    for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        std::vector<std::uint64_t> expected;
-        std::uint32_t alive = 0;
-        std::uint32_t frozen_alive = 0;
-        std::uint32_t issuable_barrier = 0;
-        std::uint32_t issuable_offchip = 0;
-        for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
-            const VirtualCta &cta = ctas_[slot];
-            if (!cta.valid)
-                continue;
-            alive += cta.aliveBySched[s];
-            const bool issuable = vt_.isIssuable(slot);
-            if (!issuable) {
-                frozen_alive += cta.aliveBySched[s];
-                continue;
-            }
-            std::uint32_t barrier = 0;
-            std::uint32_t offchip = 0;
-            for (std::uint32_t w : cta.schedWarps[s]) {
-                const WarpContext &warp = cta.warps[w];
-                if (warp.done())
-                    continue;
-                barrier += warp.atBarrier() ? 1 : 0;
-                offchip += warp.pendingOffChip() > 0 ? 1 : 0;
-                if (warpReadyMember(cta, warp))
-                    expected.push_back(readyKey(slot, w));
-            }
-            VTSIM_ASSERT(barrier == cta.barrierBySched[s] &&
-                         offchip == cta.offchipBySched[s],
-                         "per-CTA ready counters diverged for cta ", slot,
-                         " sched ", s);
-            issuable_barrier += barrier;
-            issuable_offchip += offchip;
-        }
-        VTSIM_ASSERT(expected == ready_[s],
-                     "ready list diverged from full scan on sched ", s,
-                     " (", ready_[s].size(), " vs ", expected.size(),
-                     " entries)");
-        VTSIM_ASSERT(alive == schedAlive_[s] &&
-                     frozen_alive == schedFrozenAlive_[s] &&
-                     issuable_barrier == schedIssuableBarrier_[s] &&
-                     issuable_offchip == schedIssuableOffchip_[s],
-                     "ready aggregates diverged on sched ", s);
+    readyBits_.assign(ctas_.size() * readyStride_, 0);
+    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot)
+        ctas_[slot].issue = scanCta(slot, readyOf(slot));
+    sched_ = sumSchedulers();
+    activeByAge_ = scanActiveByAge();
+}
+
+SmCore::CtaIssueState
+SmCore::scanCta(VirtualCtaId slot, std::uint64_t *ready) const
+{
+    const VirtualCta &cta = ctas_[slot];
+    CtaIssueState is;
+    std::fill_n(ready, readyStride_, 0);
+    if (!cta.valid)
+        return is;
+    const std::uint32_t scheds = config_.numSchedulers;
+    is.aliveBySched.assign(scheds, 0);
+    is.barrierBySched.assign(scheds, 0);
+    is.offchipBySched.assign(scheds, 0);
+    const bool publish = vt_.isIssuable(slot) && cta.grid < grids_.size() &&
+                         grids_[cta.grid].kernel != nullptr;
+    for (std::uint32_t w = 0; w < cta.warps.size(); ++w) {
+        const WarpContext &warp = cta.warps[w];
+        is.pendingOffChipTotal += warp.pendingOffChip();
+        if (warp.done())
+            continue;
+        const std::uint32_t s = warp.schedId();
+        ++is.warpsAlive;
+        ++is.aliveBySched[s];
+        is.barrierBySched[s] += warp.atBarrier() ? 1 : 0;
+        is.offchipBySched[s] += warp.pendingOffChip() > 0 ? 1 : 0;
+        if (publish && warpReadyMember(cta, warp))
+            ready[s * readyWords_ + w / 64] |= 1ull << (w % 64);
     }
+    return is;
+}
+
+SmCore::SchedIssueState
+SmCore::sumSchedulers() const
+{
+    const std::vector<std::uint32_t> zero(config_.numSchedulers, 0);
+    SchedIssueState sum{zero, zero, zero, zero};
+    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
+        if (!ctas_[slot].valid)
+            continue;
+        const CtaIssueState &is = ctas_[slot].issue;
+        const bool issuable = vt_.isIssuable(slot);
+        for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
+            sum.alive[s] += is.aliveBySched[s];
+            if (!issuable) {
+                sum.frozenAlive[s] += is.aliveBySched[s];
+                continue;
+            }
+            sum.issuableBarrier[s] += is.barrierBySched[s];
+            sum.issuableOffchip[s] += is.offchipBySched[s];
+        }
+    }
+    return sum;
+}
+
+std::vector<SmCore::ActiveCta>
+SmCore::scanActiveByAge() const
+{
+    std::vector<ActiveCta> order;
+    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot)
+        if (ctas_[slot].valid && vt_.isIssuable(slot))
+            order.push_back({ctas_[slot].age, slot});
+    std::sort(order.begin(), order.end());
+    return order;
+}
+
+void
+SmCore::verifyReadySets(Cycle now) const
+{
+    std::vector<std::uint64_t> ready(readyStride_);
+    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
+        const VirtualCta &cta = ctas_[slot];
+        VTSIM_ASSERT(cta.issue == scanCta(slot, ready.data()) &&
+                         std::equal(ready.begin(), ready.end(),
+                                    readyOf(slot)),
+                     "issue state of cta ", slot,
+                     " diverged from a full scan");
+        for (const WarpContext &warp : cta.warps) {
+            VTSIM_ASSERT(warp.done() || warp.readyAt() <= now, "cta ", slot,
+                         " warp ", warp.warpInCta(), " has readyAt ",
+                         warp.readyAt(), " > now ", now, " before issue");
+        }
+    }
+    VTSIM_ASSERT(sched_ == sumSchedulers(),
+                 "per-scheduler sums diverged from the CTAs' issue state");
+    VTSIM_ASSERT(activeByAge_ == scanActiveByAge(),
+                 "Active CTA age order diverged from a full scan");
 }
 
 } // namespace vtsim

@@ -77,7 +77,7 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
      * Re-attach one grid's kernel/launch/memory bindings after a
      * checkpoint restore: unlike bindGrid() this neither requires an
      * empty SM nor reconfigures the VT manager — the restored state
-     * already carries both.
+     * already carries both. Rebuilds the issue state.
      */
     void rebindGrid(GridId grid, const Kernel &kernel,
                     const LaunchParams &launch, GlobalMemory &gmem);
@@ -148,8 +148,8 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     void settleTo(Cycle cycle) override;
 
     // SimComponent lifecycle: return to the just-constructed state /
-    // checkpoint the full SM (CTAs, warps, ready sets, LDST, VT,
-    // barriers, schedulers, stats).
+    // checkpoint the full SM (CTAs, warps, LDST, VT, barriers,
+    // schedulers, stats; the ready sets are rebuilt on restore).
     void reset() override;
     void save(Serializer &ser) const override;
     void restore(Deserializer &des) override;
@@ -288,6 +288,43 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     void onCtaIssuableChanged(VirtualCtaId id, bool issuable) override;
 
   private:
+    /**
+     * A CTA's issue-path counters (its ready bits live in readyBits_).
+     * All of it is derived from the CTA's warps and VT state: maintained
+     * incrementally at every transition, and recomputed by scanCta() for
+     * the oracle and after a checkpoint restore (checkpoints do not carry
+     * it).
+     */
+    struct CtaIssueState
+    {
+        /** Per scheduler slot: live warps, live warps parked at the
+         *  barrier, and live warps with >= 1 off-chip transaction
+         *  outstanding — what the bubble classifier reads instead of
+         *  scanning warps. */
+        std::vector<std::uint32_t> aliveBySched;
+        std::vector<std::uint32_t> barrierBySched;
+        std::vector<std::uint32_t> offchipBySched;
+        std::uint32_t warpsAlive = 0;
+        /** Sum of the warps' pendingOffChip counts, so the VT swap-in
+         *  readiness test does not rescan warps. */
+        std::uint32_t pendingOffChipTotal = 0;
+
+        bool operator==(const CtaIssueState &) const = default;
+    };
+
+    /** Per-scheduler sums of the CTAs' issue state: live warps of all
+     *  valid CTAs and of the frozen ones, and the barrier and off-chip
+     *  counts of the Active ones. Derived like CtaIssueState. */
+    struct SchedIssueState
+    {
+        std::vector<std::uint32_t> alive;
+        std::vector<std::uint32_t> frozenAlive;
+        std::vector<std::uint32_t> issuableBarrier;
+        std::vector<std::uint32_t> issuableOffchip;
+
+        bool operator==(const SchedIssueState &) const = default;
+    };
+
     /** One resident (virtual) CTA: functional state + warp contexts. */
     struct VirtualCta
     {
@@ -297,23 +334,7 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         std::uint64_t age = 0;
         CtaFuncState func;
         std::vector<WarpContext> warps;
-        /** Warp indices per scheduler slot — the (age * warps + w) %
-         *  schedulers interleaving, precomputed once at admission so the
-         *  per-tick issue sweep visits each warp exactly once. */
-        std::vector<std::vector<std::uint32_t>> schedWarps;
-        /** Live warps per scheduler slot: lets the sweep classify frozen
-         *  or fully retired CTAs without visiting their warps. */
-        std::vector<std::uint32_t> aliveBySched;
-        /** Live warps parked at the barrier, per scheduler slot. */
-        std::vector<std::uint32_t> barrierBySched;
-        /** Live warps with >= 1 off-chip transaction outstanding, per
-         *  scheduler slot: with barrierBySched, the counters the bubble
-         *  classifier reads instead of scanning warps. */
-        std::vector<std::uint32_t> offchipBySched;
-        std::uint32_t warpsAlive = 0;
-        /** Sum of the warps' pendingOffChip counts, so the VT swap-in
-         *  readiness test does not rescan warps. */
-        std::uint32_t pendingOffChipTotal = 0;
+        CtaIssueState issue;
     };
 
     /** Per-cycle structural budgets, reset each tick. */
@@ -334,16 +355,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         Short,
     };
 
-    /**
-     * Warp-local issuability. With @p ignore_structural the per-SM port
-     * constraints (LDST queue space, shared-mem port) are ignored: the VT
-     * swap trigger must not mistake structural back-pressure — which
-     * clears in a few cycles — for a long-latency stall.
-     * Inline (below): called for every warp visit of the issue sweep.
-     */
-    bool warpCanIssueLocal(const VirtualCta &cta, const WarpContext &warp,
-                           Cycle now,
-                           bool ignore_structural = false) const;
     bool budgetAllows(const Instruction &inst,
                       const IssueBudgets &budgets) const;
     void chargeBudget(const Instruction &inst, IssueBudgets &budgets) const;
@@ -351,12 +362,10 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
                    const Instruction &inst, Cycle now);
     void maybeReleaseBarrier(VirtualCtaId slot, Cycle now);
     void finishCta(VirtualCtaId slot, Cycle now);
+    /** Attribute a scheduler-cycle that issued nothing, from one walk
+     *  of the scheduler's ready bits plus the cached stall counters. */
     BubbleKind classifyIssueBubble(std::uint32_t scheduler,
                                    Cycle now) const;
-    /** classifyIssueBubble over the ready set + cached counters instead
-     *  of a full warp scan: identical result in O(ready warps). */
-    BubbleKind classifyIssueBubbleFast(std::uint32_t scheduler,
-                                       Cycle now) const;
     /** The nextEventCycle() min-reduction itself, over settled state.
      *  Non-const only because LdstUnit::nextEventCycle is (it overrides
      *  the non-const SimComponent signature); it mutates nothing. */
@@ -368,12 +377,9 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
      *  idle horizon. */
     void onExternalEvent();
 
-    // --- Incremental ready sets --------------------------------------------
-    /** Packed ready-list key; ascending order == the full sweep's
-     *  (slot, warp) visit order. Warp indices fit 8 bits by the same
-     *  argument as the schedulers' age * 256 + w candidate keys. */
-    static std::uint64_t readyKey(VirtualCtaId slot, std::uint32_t w)
-    { return (std::uint64_t(slot) << 8) | w; }
+    // --- Ready sets (docs/ARCHITECTURE.md "Issue-path data structures") --
+    /** One scheduler's issuable warps this cycle, for its policy. */
+    class IssueProbe;
 
     /** The warp-local, time-invariant part of issuability: alive, not at
      *  the barrier, and no scoreboard hazard at its current PC. Combined
@@ -401,8 +407,8 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     const LaunchParams *launchOf(const VirtualCta &cta) const
     { return grids_[cta.grid].launch; }
 
-    /** Re-derive warp (slot, w)'s ready-set membership and insert or
-     *  remove its key accordingly. Idempotent; called after every state
+    /** Re-derive warp (slot, w)'s ready-set membership and set or clear
+     *  its bit accordingly. Idempotent; called after every state
      *  transition that can change membership. */
     void refreshWarp(VirtualCtaId slot, std::uint32_t w);
 
@@ -410,8 +416,39 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
      *  barrier / off-chip counters it contributed to. */
     void retireWarpCounters(VirtualCta &cta, const WarpContext &warp);
 
-    /** Cross-check ready sets and counters against a full scan. */
-    void verifyReadySets() const;
+    /** An Active CTA in the age order: its age and slot. */
+    struct ActiveCta
+    {
+        std::uint64_t age;
+        VirtualCtaId slot;
+        auto operator<=>(const ActiveCta &) const = default;
+    };
+
+    /** First entry of activeByAge_ whose CTA is not older than @p age. */
+    std::vector<ActiveCta>::const_iterator
+    activeFrom(std::uint64_t age) const;
+
+    /** CTA slot @p slot's readyStride_ words of ready bits. */
+    std::uint64_t *readyOf(VirtualCtaId slot)
+    { return readyBits_.data() + std::size_t(slot) * readyStride_; }
+    const std::uint64_t *readyOf(VirtualCtaId slot) const
+    { return readyBits_.data() + std::size_t(slot) * readyStride_; }
+
+    /** The counters of CTA @p slot (its ready bits written to the
+     *  readyStride_ words at @p ready), the per-scheduler sums and the
+     *  age order, as a full scan of warp and VT state derives them. A
+     *  CTA whose kernel is not bound (yet) gets clear ready bits:
+     *  membership decodes the warp's next instruction. */
+    CtaIssueState scanCta(VirtualCtaId slot, std::uint64_t *ready) const;
+    SchedIssueState sumSchedulers() const;
+    std::vector<ActiveCta> scanActiveByAge() const;
+
+    /** Recompute all of the above (checkpoints do not carry them). */
+    void rebuildIssueState();
+
+    /** Cross-check the issue state against a full scan, and that no
+     *  live warp has readyAt > @p now. */
+    void verifyReadySets(Cycle now) const;
 
     bool oracleEnabled() const
     {
@@ -461,33 +498,29 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
 
     std::vector<std::unique_ptr<WarpScheduler>> schedulers_;
 
-    // Issue-sweep scratch, reused across ticks to avoid reallocation.
-    std::vector<WarpCandidate> cands_;
-    std::vector<std::pair<VirtualCtaId, std::uint32_t>> refs_;
-    /** Candidates' decoded instructions, so the budget charge and the
-     *  issue itself reuse the sweep's kernel_->at(pc) lookup. */
-    std::vector<const Instruction *> decodes_;
     /** Scratch for barrier releases (avoids a vector per release). */
     std::vector<std::uint32_t> barrierScratch_;
 
+    /** Words of ready bits per scheduler per CTA (enough for the
+     *  largest CTA the scheduling limit admits, effMaxWarpsPerSm()), and
+     *  per CTA slot (numSchedulers of those). */
+    const std::uint32_t readyWords_;
+    const std::uint32_t readyStride_;
     /**
-     * Per-scheduler ready lists: packed (slot, warp) keys, ascending.
-     * A warp is listed iff its CTA is valid and Active and
-     * warpReadyMember() holds — maintained incrementally at every
-     * membership-changing transition (issue, writeback, load return,
-     * barrier arrive/release, warp retirement, VT activation/swap) and
-     * consumed by the issue sweep, the bubble classifier and
-     * nextEventCycle's warp term. See ARCHITECTURE.md "Issue-path data
-     * structures" for the invariants.
+     * Ready bits of every CTA slot, flat so that the issue walks and
+     * the VT stall poll touch a few adjacent words rather than each
+     * CTA's record: bit w % 64 of readyOf(slot)[s * readyWords_ + w / 64]
+     * is set iff warp w sits on scheduler s and is a ready-set member
+     * (see refreshWarp). Zero for slots whose CTA is not Active.
      */
-    std::vector<std::vector<std::uint64_t>> ready_;
-    // Per-scheduler aggregates over all valid CTAs (schedAlive_,
-    // schedFrozenAlive_) and over Active CTAs only (the issuable pair) —
-    // exactly what the bubble classifier needs.
-    std::vector<std::uint32_t> schedAlive_;
-    std::vector<std::uint32_t> schedFrozenAlive_;
-    std::vector<std::uint32_t> schedIssuableBarrier_;
-    std::vector<std::uint32_t> schedIssuableOffchip_;
+    std::vector<std::uint64_t> readyBits_;
+    /**
+     * The Active CTAs, oldest first. Walking them in this order and each
+     * CTA's bits by count-trailing-zeros visits warps in ascending
+     * scheduler key (age * 256 + w), so "first candidate" is "oldest".
+     */
+    std::vector<ActiveCta> activeByAge_;
+    SchedIssueState sched_;
 
     struct Writeback
     {
@@ -553,26 +586,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
      *  machine state, never checkpointed. */
     ExecResult execScratch_;
 };
-
-inline bool
-SmCore::warpCanIssueLocal(const VirtualCta &cta, const WarpContext &warp,
-                          Cycle now, bool ignore_structural) const
-{
-    if (warp.done() || warp.atBarrier() || warp.readyAt() > now)
-        return false;
-    const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
-    if (inst.isExit() && warp.scoreboard().pendingCount() > 0)
-        return false; // Retire only with all writes landed.
-    if (warp.scoreboard().hasHazard(inst))
-        return false;
-    if (!ignore_structural) {
-        if (inst.isGlobalMem() && !ldst_.canAccept())
-            return false;
-        if (inst.isSharedMem() && !shmem_.canAccept(now))
-            return false;
-    }
-    return true;
-}
 
 } // namespace vtsim
 

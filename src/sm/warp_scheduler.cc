@@ -1,10 +1,55 @@
 #include "sm/warp_scheduler.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace vtsim {
+
+namespace {
+
+/** CandidateProbe over an explicit list: linear scans, remembering the
+ *  index of the last candidate found. */
+class ListProbe final : public CandidateProbe
+{
+  public:
+    explicit ListProbe(const std::vector<WarpCandidate> &candidates)
+        : cands_(candidates)
+    {}
+
+    bool
+    has(std::uint64_t key) override
+    {
+        for (std::size_t i = 0; i < cands_.size(); ++i) {
+            if (cands_[i].key == key) {
+                found = i;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::uint64_t
+    firstFrom(std::uint64_t from) override
+    {
+        std::size_t best = cands_.size();
+        for (std::size_t i = 0; i < cands_.size(); ++i) {
+            if (cands_[i].key < from)
+                continue;
+            if (best == cands_.size() || cands_[i].age < cands_[best].age)
+                best = i;
+        }
+        if (best == cands_.size())
+            return noCandidate;
+        found = best;
+        return cands_[best].key;
+    }
+
+    std::size_t found = 0;
+
+  private:
+    const std::vector<WarpCandidate> &cands_;
+};
+
+} // namespace
 
 std::unique_ptr<WarpScheduler>
 WarpScheduler::create(SchedulerPolicy policy, std::uint32_t active_set)
@@ -21,82 +66,59 @@ WarpScheduler::create(SchedulerPolicy policy, std::uint32_t active_set)
 }
 
 std::size_t
-LrrScheduler::pick(const std::vector<WarpCandidate> &candidates)
+WarpScheduler::pick(const std::vector<WarpCandidate> &candidates)
 {
     VTSIM_ASSERT(!candidates.empty(), "pick() with no candidates");
-    // First candidate whose key strictly follows the last issued key in
-    // circular order; falls back to the smallest key.
-    std::size_t best = candidates.size();
-    std::size_t smallest = 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].key < candidates[smallest].key)
-            smallest = i;
-        if (candidates[i].key > lastKey_ &&
-            (best == candidates.size() ||
-             candidates[i].key < candidates[best].key)) {
-            best = i;
-        }
-    }
-    const std::size_t chosen = best != candidates.size() ? best : smallest;
-    lastKey_ = candidates[chosen].key;
-    return chosen;
+    ListProbe probe(candidates);
+    choose(probe);
+    return probe.found;
 }
 
-std::size_t
-GtoScheduler::pick(const std::vector<WarpCandidate> &candidates)
+std::uint64_t
+LrrScheduler::choose(CandidateProbe &probe)
 {
-    VTSIM_ASSERT(!candidates.empty(), "pick() with no candidates");
-    std::size_t oldest = 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].key == greedyKey_) {
-            return i; // Stay greedy.
-        }
-        if (candidates[i].age < candidates[oldest].age)
-            oldest = i;
-    }
-    greedyKey_ = candidates[oldest].key;
+    // First candidate strictly after the last issued key in circular
+    // order; falls back to the oldest.
+    std::uint64_t key = probe.firstFrom(lastKey_ + 1);
+    if (key == noCandidate)
+        key = probe.firstFrom(0);
+    if (key != noCandidate)
+        lastKey_ = key;
+    return key;
+}
+
+std::uint64_t
+GtoScheduler::choose(CandidateProbe &probe)
+{
+    if (greedyKey_ != noCandidate && probe.has(greedyKey_))
+        return greedyKey_; // Stay greedy.
+    const std::uint64_t oldest = probe.firstFrom(0);
+    if (oldest != noCandidate)
+        greedyKey_ = oldest;
     return oldest;
 }
 
-std::size_t
-TwoLevelScheduler::pick(const std::vector<WarpCandidate> &candidates)
+std::uint64_t
+TwoLevelScheduler::choose(CandidateProbe &probe)
 {
-    VTSIM_ASSERT(!candidates.empty(), "pick() with no candidates");
-
     // Prefer ready members of the active set, LRR among them.
-    std::size_t best = candidates.size();
-    std::size_t smallest = candidates.size();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (!activeSet_.count(candidates[i].key))
-            continue;
-        if (smallest == candidates.size() ||
-            candidates[i].key < candidates[smallest].key) {
-            smallest = i;
-        }
-        if (candidates[i].key > lastKey_ &&
-            (best == candidates.size() ||
-             candidates[i].key < candidates[best].key)) {
-            best = i;
-        }
-    }
-    if (smallest != candidates.size()) {
-        const std::size_t chosen =
-            best != candidates.size() ? best : smallest;
-        lastKey_ = candidates[chosen].key;
-        return chosen;
-    }
+    const auto split = activeSet_.upper_bound(lastKey_);
+    for (auto it = split; it != activeSet_.end(); ++it)
+        if (probe.has(*it))
+            return lastKey_ = *it;
+    for (auto it = activeSet_.begin(); it != split; ++it)
+        if (probe.has(*it))
+            return lastKey_ = *it;
 
     // Nothing in the active set is ready: promote the oldest pending warp
-    // (evicting an arbitrary stale member when full) and issue it.
-    std::size_t oldest = 0;
-    for (std::size_t i = 1; i < candidates.size(); ++i)
-        if (candidates[i].age < candidates[oldest].age)
-            oldest = i;
+    // (evicting the smallest-key member when full) and issue it.
+    const std::uint64_t oldest = probe.firstFrom(0);
+    if (oldest == noCandidate)
+        return noCandidate;
     if (activeSet_.size() >= activeSetSize_)
         activeSet_.erase(activeSet_.begin());
-    activeSet_.insert(candidates[oldest].key);
-    lastKey_ = candidates[oldest].key;
-    return oldest;
+    activeSet_.insert(oldest);
+    return lastKey_ = oldest;
 }
 
 } // namespace vtsim

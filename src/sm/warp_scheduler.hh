@@ -1,8 +1,8 @@
 /**
  * @file
- * Warp scheduling policies (LRR, GTO, two-level). A policy ranks the
- * warps that are issuable this cycle; it holds no warp state of its own
- * beyond the rotation/greed bookkeeping.
+ * Warp scheduling policies (LRR, GTO, two-level). A policy chooses among
+ * the warps that are issuable this cycle; it holds no warp state of its
+ * own beyond the rotation/greed bookkeeping.
  */
 
 #ifndef VTSIM_SM_WARP_SCHEDULER_HH
@@ -19,10 +19,14 @@
 
 namespace vtsim {
 
+/** "No issuable warp": larger than any real key (age * 256 + w). */
+inline constexpr std::uint64_t noCandidate = ~0ull;
+
 /**
- * A schedulable warp as the policy sees it. The key is unique and stable
- * for the lifetime of the warp's CTA residency; age orders warps oldest
- * first (CTA admission order, then warp index).
+ * A schedulable warp as an explicit list entry. The key is unique and
+ * stable for the lifetime of the warp's CTA residency; age orders warps
+ * oldest first (CTA admission order, then warp index). The SM's keys are
+ * age * 256 + w, so there the key is the age.
  */
 struct WarpCandidate
 {
@@ -30,34 +34,53 @@ struct WarpCandidate
     std::uint64_t age;  ///< Lower = older.
 };
 
+/**
+ * One scheduler slot's issuable warps this cycle, enumerated oldest
+ * first (ascending key) and evaluated lazily: a policy pays only for the
+ * keys it probes, so a greedy pick costs one probe, not a sweep.
+ */
+class CandidateProbe
+{
+  public:
+    /** True when the warp with @p key is issuable this cycle. */
+    virtual bool has(std::uint64_t key) = 0;
+
+    /** The oldest issuable warp with key >= @p from, or noCandidate. */
+    virtual std::uint64_t firstFrom(std::uint64_t from) = 0;
+
+  protected:
+    ~CandidateProbe() = default;
+};
+
 class WarpScheduler : public SimComponent
 {
   public:
     /**
-     * Choose among @p candidates (nonempty, deterministic order).
-     * @return Index into @p candidates.
-     *
-     * Contract relied on by the SM's incremental ready-warp sets: the
-     * chosen *candidate* depends only on the multiset of (key, age)
-     * pairs, never on positional order. Every policy here satisfies it
-     * (keys are unique, comparisons are total), which is what lets the
-     * ready lists hand candidates over in sorted-key order and still
-     * reproduce the legacy full-scan pick bit for bit.
+     * Choose one of @p probe's candidates. Returns its key, or
+     * noCandidate (leaving the policy state untouched) when there is
+     * none. The chosen key is always the last one @p probe reported
+     * issuable, so the probe can hand back the warp it found.
      */
-    virtual std::size_t pick(const std::vector<WarpCandidate> &candidates)
-        = 0;
+    std::uint64_t pick(CandidateProbe &probe) { return choose(probe); }
+
+    /**
+     * The same rule over an explicit, nonempty candidate list, ranked
+     * oldest first by age. @return Index into @p candidates.
+     */
+    std::size_t pick(const std::vector<WarpCandidate> &candidates);
 
     /** Factory for the configured policy. */
     static std::unique_ptr<WarpScheduler> create(SchedulerPolicy policy,
                                                  std::uint32_t active_set);
+
+  private:
+    virtual std::uint64_t choose(CandidateProbe &probe) = 0;
 };
 
 /** Loose round-robin: rotate fairly through issuable warps. */
 class LrrScheduler : public WarpScheduler
 {
   public:
-    std::size_t pick(const std::vector<WarpCandidate> &candidates) override;
-
     void reset() override { lastKey_ = 0; }
 
     void
@@ -77,6 +100,8 @@ class LrrScheduler : public WarpScheduler
     }
 
   private:
+    std::uint64_t choose(CandidateProbe &probe) override;
+
     std::uint64_t lastKey_ = 0;
 };
 
@@ -85,9 +110,7 @@ class LrrScheduler : public WarpScheduler
 class GtoScheduler : public WarpScheduler
 {
   public:
-    std::size_t pick(const std::vector<WarpCandidate> &candidates) override;
-
-    void reset() override { greedyKey_ = ~0ull; }
+    void reset() override { greedyKey_ = noCandidate; }
 
     void
     save(Serializer &ser) const override
@@ -106,7 +129,9 @@ class GtoScheduler : public WarpScheduler
     }
 
   private:
-    std::uint64_t greedyKey_ = ~0ull;
+    std::uint64_t choose(CandidateProbe &probe) override;
+
+    std::uint64_t greedyKey_ = noCandidate;
 };
 
 /** Two-level: a small active set scheduled LRR; stalled members are
@@ -117,8 +142,6 @@ class TwoLevelScheduler : public WarpScheduler
     explicit TwoLevelScheduler(std::uint32_t active_set_size)
         : activeSetSize_(active_set_size ? active_set_size : 1)
     {}
-
-    std::size_t pick(const std::vector<WarpCandidate> &candidates) override;
 
     void
     reset() override
@@ -152,6 +175,8 @@ class TwoLevelScheduler : public WarpScheduler
     }
 
   private:
+    std::uint64_t choose(CandidateProbe &probe) override;
+
     std::uint32_t activeSetSize_;
     std::set<std::uint64_t> activeSet_;
     std::uint64_t lastKey_ = 0;

@@ -136,7 +136,7 @@ coRun(const GpuConfig &cfg, const std::vector<std::string> &names,
 std::string
 tempPath(const std::string &stem)
 {
-    return testing::TempDir() + stem;
+    return test::uniqueTempPath(stem);
 }
 
 // ---------------------------------------------------------------------------

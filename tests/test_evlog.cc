@@ -23,6 +23,7 @@
 #include "service/json.hh"
 #include "service/protocol.hh"
 #include "service/service.hh"
+#include "test_util.hh"
 #include "workloads/workload.hh"
 
 namespace vtsim {
@@ -40,7 +41,7 @@ using service::ServiceConfig;
 std::string
 tempPath(const std::string &tag)
 {
-    return std::string(::testing::TempDir()) + "vtsim-evlog-" + tag;
+    return test::uniqueTempPath("vtsim-evlog-" + tag);
 }
 
 /** Parse every line of @p path; a truncated final line (daemon killed

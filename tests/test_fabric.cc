@@ -32,6 +32,7 @@
 #include "service/json.hh"
 #include "service/protocol.hh"
 #include "service/service.hh"
+#include "test_util.hh"
 #include "workloads/workload.hh"
 
 namespace vtsim {
@@ -101,9 +102,7 @@ runUninterrupted(const std::string &name, std::uint32_t scale)
 std::string
 tempDir(const std::string &tag)
 {
-    const std::string path = std::string(::testing::TempDir()) +
-                             "vtsim-fabric-" + tag + "-" +
-                             std::to_string(::getpid());
+    const std::string path = test::uniqueTempPath("vtsim-fabric-" + tag);
     std::filesystem::create_directories(path);
     return path;
 }

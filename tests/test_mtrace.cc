@@ -38,7 +38,7 @@ traceConfig()
 std::string
 tempPath(const std::string &stem)
 {
-    return testing::TempDir() + stem;
+    return test::uniqueTempPath(stem);
 }
 
 KernelStats

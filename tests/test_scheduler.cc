@@ -149,5 +149,210 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyProperty,
                              SchedulerPolicy::GreedyThenOldest,
                              SchedulerPolicy::TwoLevel));
 
+// --- Differential: probe-based policies vs the list-scan originals ------
+
+/** The list-scan pick bodies the probe-based policies replaced, kept
+ *  verbatim as the reference. */
+struct RefLrr
+{
+    std::uint64_t lastKey_ = 0;
+
+    std::size_t
+    pick(const std::vector<WarpCandidate> &candidates)
+    {
+        std::size_t best = candidates.size();
+        std::size_t smallest = 0;
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            if (candidates[i].key < candidates[smallest].key)
+                smallest = i;
+            if (candidates[i].key > lastKey_ &&
+                (best == candidates.size() ||
+                 candidates[i].key < candidates[best].key)) {
+                best = i;
+            }
+        }
+        const std::size_t chosen =
+            best != candidates.size() ? best : smallest;
+        lastKey_ = candidates[chosen].key;
+        return chosen;
+    }
+};
+
+struct RefGto
+{
+    std::uint64_t greedyKey_ = ~0ull;
+
+    std::size_t
+    pick(const std::vector<WarpCandidate> &candidates)
+    {
+        std::size_t oldest = 0;
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            if (candidates[i].key == greedyKey_) {
+                return i; // Stay greedy.
+            }
+            if (candidates[i].age < candidates[oldest].age)
+                oldest = i;
+        }
+        greedyKey_ = candidates[oldest].key;
+        return oldest;
+    }
+};
+
+struct RefTwoLevel
+{
+    std::uint32_t activeSetSize_;
+    std::set<std::uint64_t> activeSet_;
+    std::uint64_t lastKey_ = 0;
+    std::uint32_t evictions = 0; ///< Test instrumentation only.
+
+    std::size_t
+    pick(const std::vector<WarpCandidate> &candidates)
+    {
+        std::size_t best = candidates.size();
+        std::size_t smallest = candidates.size();
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            if (!activeSet_.count(candidates[i].key))
+                continue;
+            if (smallest == candidates.size() ||
+                candidates[i].key < candidates[smallest].key) {
+                smallest = i;
+            }
+            if (candidates[i].key > lastKey_ &&
+                (best == candidates.size() ||
+                 candidates[i].key < candidates[best].key)) {
+                best = i;
+            }
+        }
+        if (smallest != candidates.size()) {
+            const std::size_t chosen =
+                best != candidates.size() ? best : smallest;
+            lastKey_ = candidates[chosen].key;
+            return chosen;
+        }
+        std::size_t oldest = 0;
+        for (std::size_t i = 1; i < candidates.size(); ++i)
+            if (candidates[i].age < candidates[oldest].age)
+                oldest = i;
+        if (activeSet_.size() >= activeSetSize_) {
+            activeSet_.erase(activeSet_.begin());
+            ++evictions;
+        }
+        activeSet_.insert(candidates[oldest].key);
+        lastKey_ = candidates[oldest].key;
+        return oldest;
+    }
+};
+
+/** A CandidateProbe shaped like the SM's: a sorted key set probed with
+ *  lookups and lower bounds. */
+class SortedProbe final : public CandidateProbe
+{
+  public:
+    explicit SortedProbe(const std::vector<WarpCandidate> &candidates)
+    {
+        for (const WarpCandidate &c : candidates)
+            keys_.insert(c.key);
+    }
+
+    bool has(std::uint64_t key) override { return keys_.count(key) != 0; }
+
+    std::uint64_t
+    firstFrom(std::uint64_t from) override
+    {
+        const auto it = keys_.lower_bound(from);
+        return it == keys_.end() ? noCandidate : *it;
+    }
+
+  private:
+    std::set<std::uint64_t> keys_;
+};
+
+/**
+ * Warps arrive in CTAs of 1-8 (keys age * 256 + w, age == key as in the
+ * SM), retire at random — the greedy warp included, on purpose — and a
+ * random subset is issuable each cycle, listed in shuffled order. Both
+ * the list adapter and a sorted probe must choose the reference's key
+ * every cycle; a cycle with no candidates must leave the policy state
+ * untouched.
+ */
+template <typename Ref>
+void
+runDifferential(SchedulerPolicy policy, Ref &ref, std::uint64_t seed)
+{
+    auto viaList = WarpScheduler::create(policy, 3);
+    auto viaProbe = WarpScheduler::create(policy, 3);
+    Rng rng(seed);
+    std::vector<std::uint64_t> live;
+    std::uint64_t next_age = 0;
+    std::uint64_t last_chosen = noCandidate;
+    int greedy_retired = 0;
+    int compared = 0;
+    for (int cycle = 0; cycle < 4000; ++cycle) {
+        if (live.size() < 6 || (live.size() < 40 && rng.nextBelow(8) == 0)) {
+            const std::uint64_t warps = 1 + rng.nextBelow(8);
+            for (std::uint64_t w = 0; w < warps; ++w)
+                live.push_back(next_age * 256 + w);
+            ++next_age;
+        }
+        if (rng.nextBelow(4) == 0 && !live.empty()) {
+            // Retire the last chosen warp half the time, else any warp.
+            std::size_t victim = rng.nextBelow(live.size());
+            if (rng.nextBelow(2) == 0) {
+                for (std::size_t i = 0; i < live.size(); ++i)
+                    if (live[i] == last_chosen)
+                        victim = i;
+            }
+            greedy_retired += live[victim] == last_chosen ? 1 : 0;
+            live.erase(live.begin() + victim);
+        }
+        std::vector<WarpCandidate> cands;
+        for (const std::uint64_t key : live)
+            if (rng.nextBelow(3) != 0)
+                cands.push_back({key, key});
+        for (std::size_t i = cands.size(); i > 1; --i)
+            std::swap(cands[i - 1], cands[rng.nextBelow(i)]);
+
+        SortedProbe probe(cands);
+        const std::uint64_t got_probe = viaProbe->pick(probe);
+        if (cands.empty()) {
+            ASSERT_EQ(got_probe, noCandidate) << "cycle " << cycle;
+            continue;
+        }
+        const std::uint64_t want = cands[ref.pick(cands)].key;
+        const std::uint64_t got_list = cands[viaList->pick(cands)].key;
+        ASSERT_EQ(got_list, want) << toString(policy) << " cycle " << cycle;
+        ASSERT_EQ(got_probe, want) << toString(policy) << " cycle " << cycle;
+        last_chosen = want;
+        ++compared;
+    }
+    EXPECT_GT(compared, 3000);
+    EXPECT_GT(greedy_retired, 50);
+}
+
+TEST(SchedulerDifferential, LrrMatchesListScan)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        RefLrr ref;
+        runDifferential(SchedulerPolicy::LooseRoundRobin, ref, seed);
+    }
+}
+
+TEST(SchedulerDifferential, GtoMatchesListScan)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        RefGto ref;
+        runDifferential(SchedulerPolicy::GreedyThenOldest, ref, seed);
+    }
+}
+
+TEST(SchedulerDifferential, TwoLevelMatchesListScanThroughEvictions)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        RefTwoLevel ref{3, {}, 0, 0};
+        runDifferential(SchedulerPolicy::TwoLevel, ref, seed);
+        EXPECT_GT(ref.evictions, 100u) << "seed " << seed;
+    }
+}
+
 } // namespace
 } // namespace vtsim

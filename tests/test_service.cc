@@ -24,6 +24,7 @@
 #include "service/json.hh"
 #include "service/protocol.hh"
 #include "service/service.hh"
+#include "test_util.hh"
 #include "workloads/workload.hh"
 
 namespace vtsim {
@@ -113,7 +114,7 @@ spinUntilStarted(JobService &service, service::JobId id)
 std::string
 tempSpool(const std::string &tag)
 {
-    return std::string(::testing::TempDir()) + "vtsim-spool-" + tag;
+    return test::uniqueTempPath("vtsim-spool-" + tag);
 }
 
 // --------------------------------------------------------------------
@@ -738,8 +739,7 @@ class DaemonTest : public ::testing::Test
         config_.queueLimit = 8;
         config_.spoolDir = tempSpool("daemon");
         service_ = std::make_unique<JobService>(config_);
-        socket_ = std::string(::testing::TempDir()) + "vtsimd-test-" +
-                  std::to_string(::getpid()) + ".sock";
+        socket_ = test::uniqueTempPath("vtsimd-test") + ".sock";
         daemon_ = std::make_unique<Daemon>(*service_, socket_);
         daemon_->start();
         serveThread_ = std::thread([this] { daemon_->serve(); });

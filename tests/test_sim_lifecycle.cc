@@ -67,7 +67,7 @@ launchOn(Gpu &gpu, const std::string &name)
 std::string
 tempPath(const std::string &stem)
 {
-    return testing::TempDir() + stem;
+    return test::uniqueTempPath(stem);
 }
 
 std::string

@@ -6,6 +6,10 @@
 #ifndef VTSIM_TESTS_TEST_UTIL_HH
 #define VTSIM_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <string>
 
 #include "config/gpu_config.hh"
@@ -14,6 +18,25 @@
 #include "isa/kernel_builder.hh"
 
 namespace vtsim::test {
+
+/**
+ * A path in the gtest temp dir, named @p stem plus this process id and
+ * the running test's name. ctest runs every TEST as its own process,
+ * possibly in parallel, so a fixed name would let two tests overwrite
+ * each other's file.
+ */
+inline std::string
+uniqueTempPath(const std::string &stem)
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string test = info ? std::string(info->test_suite_name()) + "." +
+                                  info->name()
+                            : "none";
+    std::replace(test.begin(), test.end(), '/', '_');
+    return ::testing::TempDir() + stem + "-" + std::to_string(::getpid()) +
+           "-" + test;
+}
 
 /** A small but multi-SM config for fast integration tests. */
 inline GpuConfig
