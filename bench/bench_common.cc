@@ -1,7 +1,6 @@
 #include "bench_common.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,35 +20,6 @@ namespace vtsim::bench {
 namespace {
 
 TelemetryOptions g_telemetry;
-
-/** Strictly parse a shard-thread count: an integer >= 1 or a fatal
- *  error — "--sim-threads 0" or "--sim-threads banana" must not
- *  silently fall back to sequential (the same contract --jobs has in
- *  parallel_runner.cc). */
-/** Strictly parse an --exec value: "microcode" or "legacy". */
-std::string
-parseExecMode(const char *text)
-{
-    const std::string_view mode = text;
-    if (mode != "microcode" && mode != "legacy") {
-        VTSIM_FATAL("invalid --exec mode '", text,
-                    "' (expected 'microcode' or 'legacy')");
-    }
-    return std::string(mode);
-}
-
-unsigned
-parseSimThreads(const char *text, const char *origin)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || n < 1) {
-        VTSIM_FATAL("invalid sim-thread count '", text, "' from ",
-                    origin, " (expected an integer >= 1)");
-    }
-    return static_cast<unsigned>(n);
-}
 
 /**
  * The vtsim-profile-v1 document: where @p result's wall time went, per
@@ -110,9 +80,10 @@ parseTelemetryArgs(int argc, char **argv)
         else if (arg.substr(0, 13) == "--stats-json=")
             opts.statsJsonPath = argv[i] + 13;
         else if (arg == "--stats-interval" && i + 1 < argc)
-            opts.statsInterval = std::strtoull(argv[++i], nullptr, 10);
+            opts.statsInterval = parseCount(argv[++i], "--stats-interval");
         else if (arg.substr(0, 17) == "--stats-interval=")
-            opts.statsInterval = std::strtoull(argv[i] + 17, nullptr, 10);
+            opts.statsInterval =
+                parseCount(argv[i] + 17, "--stats-interval");
         else if (arg == "--trace-json" && i + 1 < argc)
             opts.traceJsonPath = argv[++i];
         else if (arg.substr(0, 13) == "--trace-json=")
@@ -122,22 +93,21 @@ parseTelemetryArgs(int argc, char **argv)
         else if (arg.substr(0, 13) == "--checkpoint=")
             opts.checkpointPath = argv[i] + 13;
         else if (arg == "--checkpoint-every" && i + 1 < argc)
-            opts.checkpointEvery = std::strtoull(argv[++i], nullptr, 10);
+            opts.checkpointEvery =
+                parseCount(argv[++i], "--checkpoint-every");
         else if (arg.substr(0, 19) == "--checkpoint-every=")
-            opts.checkpointEvery = std::strtoull(argv[i] + 19, nullptr, 10);
+            opts.checkpointEvery =
+                parseCount(argv[i] + 19, "--checkpoint-every");
         else if (arg == "--restore" && i + 1 < argc)
             opts.restorePath = argv[++i];
         else if (arg.substr(0, 10) == "--restore=")
             opts.restorePath = argv[i] + 10;
         else if (arg == "--sim-threads" && i + 1 < argc)
-            opts.simThreads = parseSimThreads(argv[++i], "--sim-threads");
+            opts.simThreads =
+                parseCount<unsigned>(argv[++i], "--sim-threads", 1);
         else if (arg.substr(0, 14) == "--sim-threads=")
-            opts.simThreads = parseSimThreads(argv[i] + 14,
-                                              "--sim-threads");
-        else if (arg == "--exec" && i + 1 < argc)
-            opts.execMode = parseExecMode(argv[++i]);
-        else if (arg.substr(0, 7) == "--exec=")
-            opts.execMode = parseExecMode(argv[i] + 7);
+            opts.simThreads =
+                parseCount<unsigned>(argv[i] + 14, "--sim-threads", 1);
         else if (arg == "--record-trace" && i + 1 < argc)
             opts.recordTracePath = argv[++i];
         else if (arg.substr(0, 15) == "--record-trace=")
@@ -159,7 +129,8 @@ parseTelemetryArgs(int argc, char **argv)
     requireValidSimMode(mode);
     if (opts.simThreads == 0) {
         if (const char *env = std::getenv("VTSIM_SIM_THREADS"))
-            opts.simThreads = parseSimThreads(env, "VTSIM_SIM_THREADS");
+            opts.simThreads =
+                parseCount<unsigned>(env, "VTSIM_SIM_THREADS", 1);
     }
     return opts;
 }
@@ -192,22 +163,11 @@ indexedPath(const std::string &path, std::size_t index)
     return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
-void
-applyExecMode(GpuConfig &config)
-{
-    if (g_telemetry.execMode == "legacy")
-        config.microcodeEnabled = false;
-    else if (g_telemetry.execMode == "microcode")
-        config.microcodeEnabled = true;
-}
-
 RunResult
 runWorkload(const std::string &workload_name, const GpuConfig &config,
             std::uint32_t scale, std::size_t run_index)
 {
-    GpuConfig effective = config;
-    applyExecMode(effective);
-    Gpu gpu(effective);
+    Gpu gpu(config);
     return runWorkloadOn(gpu, workload_name, scale, run_index);
 }
 

@@ -7,9 +7,15 @@
 #ifndef VTSIM_BENCH_BENCH_COMMON_HH
 #define VTSIM_BENCH_BENCH_COMMON_HH
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "config/gpu_config.hh"
 #include "gpu/gpu.hh"
 #include "workloads/workload.hh"
@@ -41,12 +47,6 @@ namespace vtsim::bench {
  *                             VTSIM_SIM_THREADS environment variable
  *                             (flag wins). Malformed values are a fatal
  *                             error, like --jobs/VTSIM_JOBS.
- *   --exec microcode|legacy   force the functional-execution path for
- *                             every run: the pre-decoded micro-op
- *                             stream (the default) or the legacy
- *                             per-lane interpreter. Bit-identical
- *                             results either way; the switch exists
- *                             for A/B speed runs (bench_microcode.py).
  *   --record-trace <path>     per-run vtsim-mtrace-v1 memory-access
  *                             trace of the post-coalescer stream (same
  *                             <stem>.N<ext> naming as --trace-json).
@@ -76,9 +76,6 @@ struct TelemetryOptions
     std::string restorePath;
     /** Shard workers per simulation; 0 = unset (sequential). */
     unsigned simThreads = 0;
-    /** Functional-execution override: "" (leave the config alone),
-     *  "microcode" or "legacy". */
-    std::string execMode;
     /** vtsim-mtrace-v1 output path (--record-trace); empty = off. */
     std::string recordTracePath;
     /** vtsim-mtrace-v1 input path (--replay-trace); empty = off. */
@@ -87,7 +84,34 @@ struct TelemetryOptions
     std::string profileJsonPath;
 };
 
-/** Scan argv for the telemetry switches (unknown args are ignored). */
+/**
+ * Strictly parse a decimal count given for @p origin (a flag or an
+ * environment variable): digits only, at least @p min, and small
+ * enough for T. Anything else — "banana", "-5", "", an overflow — is a
+ * FatalError naming @p origin, never a silent 0 or a wrapped value.
+ * Pass a @p min of 0 where 0 means "off" or "unbounded".
+ */
+template <typename T = std::uint64_t>
+T
+parseCount(const char *text, const char *origin, T min = 0)
+{
+    constexpr std::uint64_t max = std::numeric_limits<T>::max();
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(text, &end, 10);
+    // strtoull skips leading blanks and negates a leading '-', so a
+    // count must start with a digit.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || n < min || n > max) {
+        VTSIM_FATAL("invalid ", origin, " value '", text,
+                    "' (expected an integer from ", std::uint64_t(min),
+                    " to ", max, ")");
+    }
+    return static_cast<T>(n);
+}
+
+/** Scan argv for the telemetry switches (unknown args are ignored).
+ *  Malformed counts are a FatalError (parseCount). */
 TelemetryOptions parseTelemetryArgs(int argc, char **argv);
 
 /** Install @p opts for subsequent runWorkload calls. Not thread-safe:
@@ -97,9 +121,6 @@ const TelemetryOptions &telemetryOptions();
 
 /** @p path with ".<index>" before the extension; bare for index 0. */
 std::string indexedPath(const std::string &path, std::size_t index);
-
-/** Apply the installed --exec override (if any) to @p config. */
-void applyExecMode(GpuConfig &config);
 
 /** Result of one simulated run. */
 struct RunResult

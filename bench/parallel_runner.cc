@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -20,25 +19,6 @@
 
 namespace vtsim::bench {
 
-namespace {
-
-/** Strictly parse a job count: an integer >= 1 or a fatal error —
- *  "--jobs 0" or "--jobs banana" must not silently fall back. */
-unsigned
-parseJobs(const char *text, const char *origin)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || n < 1) {
-        VTSIM_FATAL("invalid job count '", text, "' from ", origin,
-                    " (expected an integer >= 1)");
-    }
-    return static_cast<unsigned>(n);
-}
-
-} // namespace
-
 unsigned
 resolveJobs(int argc, char **argv)
 {
@@ -47,13 +27,13 @@ resolveJobs(int argc, char **argv)
         if (arg == "--jobs") {
             if (i + 1 >= argc)
                 VTSIM_FATAL("--jobs needs a value");
-            return parseJobs(argv[i + 1], "--jobs");
+            return parseCount<unsigned>(argv[i + 1], "--jobs", 1);
         }
         if (arg.substr(0, 7) == "--jobs=")
-            return parseJobs(argv[i] + 7, "--jobs");
+            return parseCount<unsigned>(argv[i] + 7, "--jobs", 1);
     }
     if (const char *env = std::getenv("VTSIM_JOBS"))
-        return parseJobs(env, "VTSIM_JOBS");
+        return parseCount<unsigned>(env, "VTSIM_JOBS", 1);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw < 1 ? 1 : hw;
 }
@@ -122,9 +102,7 @@ runAll(const std::vector<RunSpec> &specs, unsigned jobs)
                    i](service::GpuArena &arena, unsigned) {
                 const RunSpec &spec = specs[i];
                 try {
-                    GpuConfig config = spec.config;
-                    applyExecMode(config);
-                    Gpu &gpu = arena.acquire(config);
+                    Gpu &gpu = arena.acquire(spec.config);
                     if (spec.kernels.size() > 1) {
                         results[i] = runCoRunOn(gpu, spec.kernels,
                                                 spec.sharePolicy,
@@ -198,9 +176,17 @@ runAll(const std::vector<RunSpec> &specs, unsigned jobs)
 std::vector<RunResult>
 runAll(const std::vector<RunSpec> &specs, int argc, char **argv)
 {
-    setTelemetryOptions(parseTelemetryArgs(argc, argv));
+    unsigned jobs = 1;
+    try {
+        setTelemetryOptions(parseTelemetryArgs(argc, argv));
+        jobs = resolveJobs(argc, argv);
+    } catch (const FatalError &e) {
+        // A bad command line is a usage error, not a crash.
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(1);
+    }
     const auto start = std::chrono::steady_clock::now();
-    auto results = runAll(specs, resolveJobs(argc, argv));
+    auto results = runAll(specs, jobs);
     const double batch_wall = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start).count();
     const TelemetryOptions &opts = telemetryOptions();
@@ -250,8 +236,6 @@ writeStatsJson(const std::string &path,
     }
     meta.wallMs = wall * 1e3;
     meta.simThreads = opts.simThreads;
-    if (!opts.execMode.empty())
-        meta.execMode = opts.execMode;
     std::uint64_t cycles = 0;
     std::uint64_t thread_instructions = 0;
     for (const RunResult &r : results) {

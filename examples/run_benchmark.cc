@@ -25,8 +25,6 @@
  *                           --checkpoint-every N)
  *     --restore PATH        resume a checkpointed run (same benchmark
  *                           and configuration flags as the original)
- *     --exec MODE           functional-execution path: microcode
- *                           (default) or legacy (bit-identical A/B)
  *     --record-trace PATH   write a vtsim-mtrace-v1 memory-access
  *                           trace of the run (forces sequential)
  *     --replay-trace PATH   drive the memory system from a recorded
@@ -65,7 +63,7 @@ usage()
                  "       [--bypass-l1] [--throttle] [--trace FLAGS]\n"
                  "       [--stats-interval N] [--trace-json PATH]\n"
                  "       [--checkpoint PATH] [--checkpoint-every N]\n"
-                 "       [--restore PATH] [--exec microcode|legacy]\n"
+                 "       [--restore PATH]\n"
                  "       [--record-trace PATH] [--replay-trace PATH]\n"
                  "       [--dump-stats] | --list\n"
                  "  trace flags: issue,mem,swap,cta,dram,barrier,all "
@@ -124,6 +122,13 @@ try {
             usage();
         return args[i];
     };
+    // The value of the count flag at args[i], of min's type and at
+    // least min: a malformed one is a FatalError naming the flag.
+    auto next_count = [&](std::size_t &i, auto min) {
+        const std::string &flag = args[i];
+        return bench::parseCount<decltype(min)>(next_value(i).c_str(),
+                                                flag.c_str(), min);
+    };
     for (std::size_t i = first_flag; i < args.size(); ++i) {
         const std::string &a = args[i];
         if (a == "--jobs") {
@@ -140,21 +145,19 @@ try {
             next_value(i);
         } else if (a.rfind("--sim-threads=", 0) == 0) {
             // Handled by parseTelemetryArgs.
-        } else if (a == "--exec" || a == "--record-trace" ||
-                   a == "--replay-trace") {
+        } else if (a == "--record-trace" || a == "--replay-trace") {
             // Validated below by parseTelemetryArgs (shared with the
             // figure binaries).
             next_value(i);
-        } else if (a.rfind("--exec=", 0) == 0 ||
-                   a.rfind("--record-trace=", 0) == 0 ||
+        } else if (a.rfind("--record-trace=", 0) == 0 ||
                    a.rfind("--replay-trace=", 0) == 0) {
             // Handled by parseTelemetryArgs.
         } else if (a == "--vt") {
             cfg.vtEnabled = true;
         } else if (a == "--vtmax") {
-            cfg.vtMaxVirtualCtasPerSm = std::stoul(next_value(i));
+            cfg.vtMaxVirtualCtasPerSm = next_count(i, std::uint32_t(0));
         } else if (a == "--swap-latency") {
-            cfg.vtSwapOutLatency = std::stoul(next_value(i));
+            cfg.vtSwapOutLatency = next_count(i, std::uint32_t(0));
             cfg.vtSwapInLatency = cfg.vtSwapOutLatency;
         } else if (a == "--scheduler") {
             const std::string p = next_value(i);
@@ -167,9 +170,9 @@ try {
             else
                 usage();
         } else if (a == "--sms") {
-            cfg.numSms = std::stoul(next_value(i));
+            cfg.numSms = next_count(i, std::uint32_t(1));
         } else if (a == "--scale") {
-            scale = std::stoul(next_value(i));
+            scale = next_count(i, std::uint32_t(0));
         } else if (a == "--bypass-l1") {
             cfg.l1BypassGlobalLoads = true;
         } else if (a == "--throttle") {
@@ -178,13 +181,13 @@ try {
             Trace::instance().enable(Trace::parseFlags(next_value(i)),
                                      &std::cerr);
         } else if (a == "--stats-interval") {
-            stats_interval = std::stoull(next_value(i));
+            stats_interval = next_count(i, Cycle(0));
         } else if (a == "--trace-json") {
             trace_json_path = next_value(i);
         } else if (a == "--checkpoint") {
             checkpoint_path = next_value(i);
         } else if (a == "--checkpoint-every") {
-            checkpoint_every = std::stoull(next_value(i));
+            checkpoint_every = next_count(i, Cycle(0));
         } else if (a == "--restore") {
             restore_path = next_value(i);
         } else if (a == "--dump-stats") {
@@ -198,14 +201,13 @@ try {
     // a malformed value aborts with a clear message instead of
     // silently falling back to one worker.
     const unsigned jobs = bench::resolveJobs(argc, argv);
-    // Same strict, shared resolution for --sim-threads, --exec and the
+    // Same strict, shared resolution for --sim-threads and the
     // memory-trace flags (record + replay together is a fatal error
     // inside parseTelemetryArgs).
     const bench::TelemetryOptions shared =
         bench::parseTelemetryArgs(argc, argv);
     const unsigned sim_threads = shared.simThreads;
     bench::setTelemetryOptions(shared);
-    bench::applyExecMode(cfg);
 
     // This binary's own --checkpoint/--restore flags join the shared
     // trace flags in one mode-matrix check (config/sim_mode.hh).

@@ -2,7 +2,7 @@
 """Validate the framing of a vtsim checkpoint file.
 
 Standard library only (runs on a bare CI image). Checks the header
-(magic "vtsimCKP", version 3, payload size matching the file), then
+(magic "vtsimCKP", version 4, payload size matching the file), then
 walks the top-level section records — tag[4] + u32 length + body — to
 the exact end of the payload, and requires the sections a Gpu always
 writes ("conf", "gpux", "gmem", "horz") to be present. Section bodies
@@ -19,7 +19,7 @@ import struct
 import sys
 
 MAGIC = b"vtsimCKP"
-VERSION = 3
+VERSION = 4
 HEADER_SIZE = len(MAGIC) + 4 + 8
 REQUIRED_SECTIONS = ("conf", "gpux", "gmem", "horz")
 

@@ -20,16 +20,4 @@ panicImpl(const char *file, int line, const std::string &message)
     std::abort();
 }
 
-void
-warnImpl(const std::string &message)
-{
-    std::fprintf(stderr, "warn: %s\n", message.c_str());
-}
-
-void
-informImpl(const std::string &message)
-{
-    std::fprintf(stderr, "info: %s\n", message.c_str());
-}
-
 } // namespace vtsim

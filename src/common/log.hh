@@ -5,7 +5,7 @@
  * fatal(): the simulation cannot continue because of a user error (bad
  * configuration, malformed kernel). Exits with status 1.
  * panic(): an internal invariant was violated — a vtsim bug. Aborts.
- * warn()/inform(): advisory messages on stderr.
+ * Advisory messages go through the leveled logger (common/logger.hh).
  */
 
 #ifndef VTSIM_COMMON_LOG_HH
@@ -20,8 +20,6 @@ namespace vtsim {
                             const std::string &message);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &message);
-void warnImpl(const std::string &message);
-void informImpl(const std::string &message);
 
 namespace detail {
 
@@ -72,11 +70,5 @@ class FatalError : public std::exception
             VTSIM_PANIC("assertion '" #cond "' failed: ",                    \
                         ::vtsim::detail::concat(__VA_ARGS__));               \
     } while (0)
-
-#define VTSIM_WARN(...)                                                      \
-    ::vtsim::warnImpl(::vtsim::detail::concat(__VA_ARGS__))
-
-#define VTSIM_INFORM(...)                                                    \
-    ::vtsim::informImpl(::vtsim::detail::concat(__VA_ARGS__))
 
 #endif // VTSIM_COMMON_LOG_HH

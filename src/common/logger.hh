@@ -1,10 +1,8 @@
 /**
  * @file
- * Leveled, component-tagged logging for long-running processes.
- *
- * VTSIM_WARN/VTSIM_INFORM (common/log.hh) are one-shot advisories for
- * batch binaries; a daemon needs runtime-selectable verbosity. This
- * logger writes single atomic stderr lines of the form
+ * Leveled, component-tagged logging: the one channel for advisory
+ * messages (common/log.hh keeps only fatal/panic/assert). This logger
+ * writes single atomic stderr lines of the form
  *
  *   [component] level: message
  *

@@ -184,25 +184,6 @@ struct GpuConfig
      */
     bool shardOracle = false;
 
-    /**
-     * Execute VASM through the pre-decoded micro-op stream (one direct
-     * handler call per issue, isa/microcode.hh) instead of the legacy
-     * per-lane opcode switch. Bit-identical results either way — the
-     * flag exists so the legacy interpreter stays exercisable as the
-     * micro path's reference.
-     */
-    bool microcodeEnabled = true;
-
-    /**
-     * Cross-check every micro-op execution against the legacy
-     * interpreter run on copy-on-write overlays: ExecResult, written
-     * registers, shared-memory and global-memory bytes must all match
-     * (always on in assert-enabled builds; this flag forces it in
-     * release builds — used by the microcode property tests). Ignored
-     * when microcodeEnabled is off.
-     */
-    bool microOracle = false;
-
     /** GTX480-class baseline used throughout the evaluation. */
     static GpuConfig fermiLike();
 

@@ -115,11 +115,13 @@ class Coordinator
     /** The fabric StatRegistry in Prometheus text format. */
     std::string metricsText() const;
 
-    // Counter peeks for tests and the fabric-smoke gate.
-    std::uint64_t dispatches() const { return dispatches_.value(); }
-    std::uint64_t steals() const { return steals_.value(); }
-    std::uint64_t migrations() const { return migrations_.value(); }
-    std::uint64_t throttles() const { return throttles_.value(); }
+    // Counter peeks for tests and the fabric-smoke gate. The
+    // maintenance thread bumps the counters under mu_, so read them
+    // under it too.
+    std::uint64_t dispatches() const { return peek(dispatches_); }
+    std::uint64_t steals() const { return peek(steals_); }
+    std::uint64_t migrations() const { return peek(migrations_); }
+    std::uint64_t throttles() const { return peek(throttles_); }
 
   private:
     struct Node
@@ -193,6 +195,13 @@ class Coordinator
     void eventJobLocked(FabricJob &job, const char *event,
                         service::Json::Object fields = {});
     void noteGaugesLocked();
+    /** @p c read under mu_. */
+    std::uint64_t
+    peek(const Counter &c) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return c.value();
+    }
 
     CoordinatorConfig config_;
     LineServer server_;

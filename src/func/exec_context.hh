@@ -1,9 +1,11 @@
 /**
  * @file
  * Functional (value-level) execution of VASM instructions at warp
- * granularity. The timing model calls execute() at issue time — as
- * GPGPU-Sim's performance model does — so that the address streams the
- * memory system sees are the real ones the data produces.
+ * granularity. The timing model runs each issued instruction's
+ * pre-decoded micro-op (isa/microcode.hh) through executeMicroInto() —
+ * as GPGPU-Sim's performance model executes at issue — so that the
+ * address streams the memory system sees are the real ones the data
+ * produces.
  */
 
 #ifndef VTSIM_FUNC_EXEC_CONTEXT_HH
@@ -114,20 +116,13 @@ struct ExecResult
 };
 
 /**
- * Functionally execute @p inst for warp @p warp_in_cta of the CTA whose
- * value state is @p cta, under @p mask. Loads/stores update functional
- * memory immediately; the timing model only replays the addresses.
- */
-ExecResult execute(const Instruction &inst, std::uint32_t warp_in_cta,
-                   ActiveMask mask, CtaFuncState &cta, GlobalMemory &gmem,
-                   const LaunchParams &launch);
-
-/**
- * Fast path: execute the pre-decoded micro-op at stream index @p pc
- * (index-parallel with the instruction stream) into caller-owned
- * @p out, which is cleared first — reusing one ExecResult across
- * issues avoids the per-issue vector allocation execute() pays.
- * Bit-identical to execute() on the same pre-state.
+ * Execute the pre-decoded micro-op at stream index @p pc of @p prog for
+ * warp @p warp_in_cta of the CTA whose value state is @p cta, under
+ * @p mask, into caller-owned @p out, which is cleared first. Loads and
+ * stores update functional memory immediately; the timing model only
+ * replays the addresses. The SM calls this at every issue and reuses
+ * one ExecResult, so issuing allocates nothing once its vectors have
+ * grown.
  */
 void executeMicroInto(const MicroProgram &prog, Pc pc,
                       std::uint32_t warp_in_cta, ActiveMask mask,
@@ -135,17 +130,14 @@ void executeMicroInto(const MicroProgram &prog, Pc pc,
                       const LaunchParams &launch, ExecResult &out);
 
 /**
- * Oracle wrapper around executeMicroInto: first runs the legacy
- * interpreter against copy-on-write overlays of @p cta / @p gmem, then
- * the micro-op on the real state, and fatals on any divergence in the
- * ExecResult, written registers, shared-memory bytes, or global-memory
- * bytes. Debug builds run this for every issued instruction (see
- * GpuConfig::microOracle).
+ * Execute the single instruction @p inst: lower it with
+ * buildMicroProgram() and run it through executeMicroInto(), so it
+ * takes exactly the handlers the SM does. For tests and tools that
+ * step one instruction at a time.
  */
-void executeMicroChecked(const MicroProgram &prog, const Instruction &inst,
-                         Pc pc, std::uint32_t warp_in_cta, ActiveMask mask,
-                         CtaFuncState &cta, GlobalMemory &gmem,
-                         const LaunchParams &launch, ExecResult &out);
+ExecResult execute(const Instruction &inst, std::uint32_t warp_in_cta,
+                   ActiveMask mask, CtaFuncState &cta, GlobalMemory &gmem,
+                   const LaunchParams &launch);
 
 } // namespace vtsim
 

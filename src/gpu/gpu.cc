@@ -92,8 +92,6 @@ configFields(Archive &&field, Config &cfg)
     field(cfg.readySetOracle);
     field(cfg.horizonOracle);
     field(cfg.shardOracle);
-    field(cfg.microcodeEnabled);
-    field(cfg.microOracle);
 }
 
 void
@@ -410,7 +408,7 @@ Gpu::buildCheckpoint(std::vector<std::uint8_t> &out)
     horizon_.saveAll(ser);
 
     const auto &payload = ser.buffer();
-    const std::uint32_t version = 3;
+    const std::uint32_t version = 4;
     const std::uint64_t size = payload.size();
     out.clear();
     out.reserve(8 + sizeof(version) + sizeof(size) + payload.size());
@@ -481,7 +479,7 @@ Gpu::restoreImage(const std::uint8_t *data, std::size_t size,
     }
     std::uint32_t version = 0;
     std::memcpy(&version, data + 8, sizeof(version));
-    if (version != 3)
+    if (version != 4)
         VTSIM_FATAL("unsupported checkpoint version ", version, " in ",
                     source);
     std::uint64_t payload_size = 0;

@@ -1,15 +1,15 @@
 /**
  * @file
- * Pre-decoded micro-op stream: the functional fast path.
+ * Pre-decoded micro-op stream: how every instruction executes.
  *
  * Every Kernel is lowered once at load into a flat MicroProgram — one
  * MicroOp per Instruction, in stream order — with operand slots
- * resolved, the immediate folded to raw bits, the comparison / special
- * register / use-imm variants burned into the handler choice, and
- * branch targets rewritten as stream indices. At issue time the
+ * resolved, the immediate folded to raw bits, and the comparison /
+ * special register / use-imm variants burned into the handler choice.
+ * At issue time the
  * interpreter is one indirect call through the op's handler pointer
  * (direct-threaded dispatch) with a tight active-lane loop inside,
- * instead of the legacy per-lane switch over Opcode.
+ * instead of a per-lane switch over Opcode.
  *
  * The micro stream is derived state: it is rebuilt from the
  * Instruction list whenever a Kernel is constructed and never
@@ -57,10 +57,11 @@ struct MicroCtx
 using MicroHandler = void (*)(const MicroOp &, MicroCtx &);
 
 /**
- * One pre-decoded micro-op. The handler pointer encodes everything the
- * legacy interpreter re-derived per issue: opcode, imm-vs-register
- * second operand, comparison operator, special register. Operands are
- * plain slots the handler indexes without looking at the Instruction.
+ * One pre-decoded micro-op. The handler pointer encodes everything a
+ * per-issue decode would re-derive: opcode, imm-vs-register second
+ * operand, comparison operator, special register. Operands are plain
+ * slots the handler indexes without looking at the Instruction; the
+ * timing model's SIMT stack reads branch targets from the Instruction.
  */
 struct MicroOp
 {
@@ -71,21 +72,16 @@ struct MicroOp
     RegIndex src2 = noReg;
     /** Immediate as raw bits (bit-cast for float consumers). */
     std::uint32_t imm = 0;
-    /** Branch target as a stream index (BRA only; 0 otherwise). The
-     *  timing model's SIMT stack still reads Instruction::branchTarget;
-     *  this keeps the micro stream self-contained for standalone
-     *  stepping and the oracle. */
-    std::uint32_t target = 0;
 };
 
 /** A lowered kernel: one MicroOp per Instruction, same indices. */
 using MicroProgram = std::vector<MicroOp>;
 
 /**
- * Lower @p instrs into a MicroProgram. Every opcode the legacy
- * interpreter accepts lowers; an unknown opcode is a fatal error
- * (mirroring the legacy VTSIM_PANIC). Defined alongside the handlers
- * in func/exec_context.cc because lowering resolves handler pointers.
+ * Lower @p instrs into a MicroProgram. An unknown opcode is an internal
+ * error (VTSIM_PANIC): the assembler and KernelBuilder only emit
+ * defined ones. Defined alongside the handlers in func/exec_context.cc
+ * because lowering resolves handler pointers.
  */
 MicroProgram buildMicroProgram(const std::vector<Instruction> &instrs);
 

@@ -79,7 +79,6 @@ writeStatsJson(std::ostream &os, const std::vector<RunRecord> &runs,
        << "  \"host\": " << Json(host).dump() << ",\n"
        << "  \"wall_ms\": " << jsonDouble(meta.wallMs) << ",\n"
        << "  \"sim_threads\": " << meta.simThreads << ",\n"
-       << "  \"exec_mode\": " << Json(meta.execMode).dump() << ",\n"
        << "  \"kcycles_per_sec\": " << jsonDouble(meta.kcyclesPerSec)
        << ",\n"
        << "  \"mips\": " << jsonDouble(meta.mips) << ",\n";

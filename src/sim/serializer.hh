@@ -13,7 +13,7 @@
  *
  * On-disk checkpoint format "vtsim-ckpt-v1" (written by Gpu::saveCheckpoint):
  *   8 bytes  magic "vtsimCKP"
- *   u32      version (3)
+ *   u32      version (4)
  *   u64      payload size in bytes
  *   payload  top-level sections back to back: tag[4] + u32 len + body
  * Multi-byte values are little-endian (vtsim only targets LE hosts; the

@@ -719,23 +719,10 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
     VTSIM_TRACE(TraceFlag::Issue, now, stats_.name(), "cta ", slot, " w",
                 w, " pc ", pc, " [", mask.count(), " lanes] ",
                 disassemble(inst));
-    // Functional execution: micro-op fast path by default (optionally
-    // oracle-checked against the legacy interpreter), legacy switch
-    // interpreter behind the flag. Bit-identical either way.
+    // Functional execution: the instruction's pre-decoded micro-op.
     ExecResult &res = execScratch_;
-    const Kernel &kernel = *kernelOf(cta);
-    const LaunchParams &launch = *launchOf(cta);
-    if (config_.microcodeEnabled) {
-        if (microOracleEnabled()) {
-            executeMicroChecked(kernel.micro(), inst, pc, w, mask,
-                                cta.func, *gmem_, launch, res);
-        } else {
-            executeMicroInto(kernel.micro(), pc, w, mask, cta.func,
-                             *gmem_, launch, res);
-        }
-    } else {
-        res = execute(inst, w, mask, cta.func, *gmem_, launch);
-    }
+    executeMicroInto(kernelOf(cta)->micro(), pc, w, mask, cta.func, *gmem_,
+                     *launchOf(cta), res);
     warp.countIssue();
     ++instructionsIssued_;
     threadInstructions_ += mask.count();

@@ -65,14 +65,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     void bindGrid(GridId grid, const Kernel &kernel,
                   const LaunchParams &launch);
 
-    /** Bind the single kernel this SM will run (solo launch). */
-    void launchKernel(const Kernel &kernel, const LaunchParams &launch,
-                      GlobalMemory &gmem)
-    {
-        beginGridBinding(gmem);
-        bindGrid(0, kernel, launch);
-    }
-
     /**
      * Re-attach one grid's kernel/launch/memory bindings after a
      * checkpoint restore: unlike bindGrid() this neither requires an
@@ -81,13 +73,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
      */
     void rebindGrid(GridId grid, const Kernel &kernel,
                     const LaunchParams &launch, GlobalMemory &gmem);
-
-    /** Solo-restore shorthand for rebindGrid(0, ...). */
-    void rebindKernel(const Kernel &kernel, const LaunchParams &launch,
-                      GlobalMemory &gmem)
-    {
-        rebindGrid(0, kernel, launch, gmem);
-    }
 
     /** True when another CTA of @p grid can be admitted right now. */
     bool canAdmitCta(GridId grid = 0) const;
@@ -459,18 +444,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
 #endif
     }
 
-    /** Cross-check every micro-op execution against the legacy
-     *  interpreter (always in assert-enabled builds; release builds
-     *  opt in via GpuConfig::microOracle). */
-    bool microOracleEnabled() const
-    {
-#ifndef NDEBUG
-        return true;
-#else
-        return config_.microOracle;
-#endif
-    }
-
     /** One co-resident grid's bindings. Pointers owned by the Gpu's
      *  launch context; stable for the run's duration. */
     struct GridBinding
@@ -581,8 +554,8 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     std::uint64_t replayCursor_ = 0;
     Cycle replayBase_ = 0;
 
-    /** Reusable ExecResult the micro-op fast path fills per issue, so
-     *  the hot loop never allocates access vectors. Plain scratch: not
+    /** Reusable ExecResult executeMicroInto fills per issue, so the
+     *  hot loop never allocates access vectors. Plain scratch: not
      *  machine state, never checkpointed. */
     ExecResult execScratch_;
 };

@@ -28,11 +28,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
-#include <iostream>
 #include <random>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,19 +41,11 @@
 namespace vtsim {
 namespace {
 
+using test::expectPinned;
+using test::Pinned;
+using test::PinnedCase;
+using test::runOn;
 using test::smallConfig;
-
-KernelStats
-runOn(const GpuConfig &cfg, const std::string &name)
-{
-    auto wl = makeWorkload(name, 0);
-    const Kernel k = wl->buildKernel();
-    Gpu gpu(cfg);
-    const LaunchParams lp = wl->prepare(gpu.memory());
-    const KernelStats stats = gpu.launch(k, lp);
-    EXPECT_TRUE(wl->verify(gpu.memory())) << name;
-    return stats;
-}
 
 /** Baseline, VT, and throttled variants of one base config. */
 std::vector<std::pair<std::string, GpuConfig>>
@@ -207,13 +196,6 @@ runVtFill(const GpuConfig &cfg, const std::vector<std::string> &names)
     return stats;
 }
 
-/** One pinned launch: a label and how to run it. */
-struct PinnedCase
-{
-    std::string label;
-    std::function<KernelStats()> run;
-};
-
 /** A launch of @p wl on @p cfg, labelled @p label. */
 PinnedCase
 launchCase(const std::string &label, const GpuConfig &cfg,
@@ -306,36 +288,6 @@ randomCases()
     return cases;
 }
 
-constexpr std::size_t kFields = 19;
-
-/** Every integer field of KernelStats, in kPinned's column order. */
-std::vector<std::uint64_t>
-fieldsOf(const KernelStats &k)
-{
-    return {k.cycles,           k.warpInstructions,  k.threadInstructions,
-            k.ctasCompleted,    k.l1Hits,            k.l1Misses,
-            k.l2Hits,           k.l2Misses,          k.dramRowHits,
-            k.dramRowMisses,    k.dramBytes,         k.swapOuts,
-            k.swapIns,          k.stalls.issued,     k.stalls.memStall,
-            k.stalls.shortStall, k.stalls.barrierStall,
-            k.stalls.swapStall, k.stalls.idle};
-}
-
-const char *const kFieldNames[kFields] = {
-    "cycles",       "warpInstructions", "threadInstructions",
-    "ctasCompleted", "l1Hits",          "l1Misses",
-    "l2Hits",       "l2Misses",         "dramRowHits",
-    "dramRowMisses", "dramBytes",       "swapOuts",
-    "swapIns",      "stalls.issued",    "stalls.memStall",
-    "stalls.shortStall", "stalls.barrierStall", "stalls.swapStall",
-    "stalls.idle"};
-
-struct Pinned
-{
-    const char *label;
-    std::uint64_t fields[kFields];
-};
-
 // clang-format off
 const Pinned kFullScanDefault[] = {
     {"baseline/vecadd", {704, 304, 9728, 8, 0, 32, 0, 32, 16, 16, 4096, 0, 0, 304, 2330, 12, 0, 0, 170}},
@@ -410,36 +362,6 @@ const Pinned kPinned[] = {
     {"wide80/two-level", {4175, 6720, 215040, 4, 0, 320, 0, 320, 192, 128, 40960, 0, 0, 6720, 1484, 63, 0, 0, 83}},
 };
 // clang-format on
-
-/**
- * Run @p cases and expect each to reproduce its row of @p pinned, label
- * and every field. With VTSIM_PRINT_PINNED_STATS set, print the rows in
- * the table's format instead.
- */
-void
-expectPinned(const std::vector<PinnedCase> &cases,
-             std::span<const Pinned> pinned)
-{
-    if (std::getenv("VTSIM_PRINT_PINNED_STATS")) {
-        for (const PinnedCase &c : cases) {
-            std::cout << "    {\"" << c.label << "\", {";
-            const auto f = fieldsOf(c.run());
-            for (std::size_t i = 0; i < f.size(); ++i)
-                std::cout << (i ? ", " : "") << f[i];
-            std::cout << "}},\n";
-        }
-        return;
-    }
-    ASSERT_EQ(cases.size(), pinned.size());
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-        ASSERT_EQ(cases[c].label, pinned[c].label);
-        const auto got = fieldsOf(cases[c].run());
-        for (std::size_t i = 0; i < kFields; ++i) {
-            EXPECT_EQ(got[i], pinned[c].fields[i])
-                << cases[c].label << " " << kFieldNames[i];
-        }
-    }
-}
 
 /** Property (b) on the three machines with the default config. */
 TEST(ReadySet, BitIdenticalStatsFeatureOnOff)

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "gpu/gpu.hh"
@@ -250,6 +252,33 @@ TEST(Checkpoint, RejectsGarbageFiles)
     EXPECT_THROW(gpu.restoreCheckpoint(path), FatalError);
     EXPECT_THROW(gpu.restoreCheckpoint(path + ".missing"), FatalError);
     std::remove(path.c_str());
+}
+
+/** Version 4 dropped two GpuConfig fields from the "conf" section, so
+ *  the header check must refuse a version-3 image up front instead of
+ *  misreading its config. */
+TEST(Checkpoint, RejectsVersion3Image)
+{
+    Gpu gpu(smallConfig());
+    launchOn(gpu, "vecadd");
+    std::vector<std::uint8_t> image;
+    gpu.saveCheckpoint(image);
+    std::uint32_t version = 0;
+    std::memcpy(&version, image.data() + 8, sizeof(version));
+    ASSERT_EQ(version, 4u);
+    version = 3;
+    std::memcpy(image.data() + 8, &version, sizeof(version));
+
+    Gpu fresh(smallConfig());
+    try {
+        fresh.restoreCheckpoint(image);
+        FAIL() << "a version-3 checkpoint was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported checkpoint version 3"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------------

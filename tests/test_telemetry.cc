@@ -452,6 +452,47 @@ TEST(TelemetryArgs, ParsesEverySwitchForm)
     EXPECT_EQ(opts2.traceJsonPath, "out.json");
 }
 
+/** A count flag's value is digits only, inside its range: anything
+ *  else is a FatalError naming the flag, never a silent 0 or a wrapped
+ *  negative. */
+TEST(TelemetryArgs, RejectsMalformedCounts)
+{
+    auto parse = [](std::vector<const char *> args) {
+        args.insert(args.begin(), "bin");
+        return bench::parseTelemetryArgs(int(args.size()),
+                                         const_cast<char **>(args.data()));
+    };
+    auto expectRejected = [&](std::vector<const char *> args,
+                              const std::string &flag) {
+        try {
+            parse(args);
+            ADD_FAILURE() << flag << " accepted a malformed value";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+                << e.what();
+        }
+    };
+    expectRejected({"--stats-interval", "banana"}, "--stats-interval");
+    expectRejected({"--stats-interval=x1"}, "--stats-interval");
+    expectRejected({"--stats-interval", "-5"}, "--stats-interval");
+    expectRejected({"--checkpoint-every", "banana"}, "--checkpoint-every");
+    expectRejected({"--checkpoint-every=-5"}, "--checkpoint-every");
+    expectRejected({"--sim-threads", "0"}, "--sim-threads");
+    expectRejected({"--sim-threads=-5"}, "--sim-threads");
+    // 0 still means "off" where the flag allows it.
+    EXPECT_EQ(parse({"--stats-interval", "0"}).statsInterval, 0u);
+    EXPECT_EQ(parse({"--checkpoint-every=0"}).checkpointEvery, 0u);
+
+    EXPECT_EQ(bench::parseCount<std::uint32_t>("4294967295", "--sms", 1),
+              4294967295u);
+    for (const char *bad : {"", " 5", "+5", "-5", "5x", "0", "4294967296",
+                            "99999999999999999999"}) {
+        EXPECT_THROW(bench::parseCount<std::uint32_t>(bad, "--sms", 1),
+                     FatalError)
+            << "'" << bad << "'";
+    }
+}
+
 TEST(TelemetryArgs, IndexedPathInsertsRunIndex)
 {
     EXPECT_EQ(bench::indexedPath("out/trace.json", 0), "out/trace.json");

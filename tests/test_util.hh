@@ -10,12 +10,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <iostream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "config/gpu_config.hh"
 #include "gpu/gpu.hh"
 #include "isa/assembler.hh"
 #include "isa/kernel_builder.hh"
+#include "workloads/workload.hh"
 
 namespace vtsim::test {
 
@@ -36,6 +43,90 @@ uniqueTempPath(const std::string &stem)
     std::replace(test.begin(), test.end(), '/', '_');
     return ::testing::TempDir() + stem + "-" + std::to_string(::getpid()) +
            "-" + test;
+}
+
+/** Launch suite workload @p name at scale 0 on a fresh Gpu built from
+ *  @p cfg, expect its results to verify, and return its KernelStats. */
+inline KernelStats
+runOn(const GpuConfig &cfg, const std::string &name)
+{
+    auto wl = makeWorkload(name, 0);
+    const Kernel k = wl->buildKernel();
+    Gpu gpu(cfg);
+    const LaunchParams lp = wl->prepare(gpu.memory());
+    const KernelStats stats = gpu.launch(k, lp);
+    EXPECT_TRUE(wl->verify(gpu.memory())) << name;
+    return stats;
+}
+
+/** Number of KernelStats fields a pinned row holds. */
+inline constexpr std::size_t kPinnedFields = 19;
+
+/** Every integer field of KernelStats, in pinned-row column order. */
+inline std::vector<std::uint64_t>
+fieldsOf(const KernelStats &k)
+{
+    return {k.cycles,           k.warpInstructions,  k.threadInstructions,
+            k.ctasCompleted,    k.l1Hits,            k.l1Misses,
+            k.l2Hits,           k.l2Misses,          k.dramRowHits,
+            k.dramRowMisses,    k.dramBytes,         k.swapOuts,
+            k.swapIns,          k.stalls.issued,     k.stalls.memStall,
+            k.stalls.shortStall, k.stalls.barrierStall,
+            k.stalls.swapStall, k.stalls.idle};
+}
+
+inline const char *const kPinnedFieldNames[kPinnedFields] = {
+    "cycles",       "warpInstructions", "threadInstructions",
+    "ctasCompleted", "l1Hits",          "l1Misses",
+    "l2Hits",       "l2Misses",         "dramRowHits",
+    "dramRowMisses", "dramBytes",       "swapOuts",
+    "swapIns",      "stalls.issued",    "stalls.memStall",
+    "stalls.shortStall", "stalls.barrierStall", "stalls.swapStall",
+    "stalls.idle"};
+
+/** One row of a table of KernelStats pinned as constants. */
+struct Pinned
+{
+    const char *label;
+    std::uint64_t fields[kPinnedFields];
+};
+
+/** One pinned launch: a label and how to run it. */
+struct PinnedCase
+{
+    std::string label;
+    std::function<KernelStats()> run;
+};
+
+/**
+ * Run @p cases and expect each to reproduce its row of @p pinned, label
+ * and every field. With VTSIM_PRINT_PINNED_STATS set, print the rows in
+ * the table's format instead, for regenerating a table after an
+ * intended timing-model change.
+ */
+inline void
+expectPinned(const std::vector<PinnedCase> &cases,
+             std::span<const Pinned> pinned)
+{
+    if (std::getenv("VTSIM_PRINT_PINNED_STATS")) {
+        for (const PinnedCase &c : cases) {
+            std::cout << "    {\"" << c.label << "\", {";
+            const auto f = fieldsOf(c.run());
+            for (std::size_t i = 0; i < f.size(); ++i)
+                std::cout << (i ? ", " : "") << f[i];
+            std::cout << "}},\n";
+        }
+        return;
+    }
+    ASSERT_EQ(cases.size(), pinned.size());
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        ASSERT_EQ(cases[c].label, pinned[c].label);
+        const auto got = fieldsOf(cases[c].run());
+        for (std::size_t i = 0; i < kPinnedFields; ++i) {
+            EXPECT_EQ(got[i], pinned[c].fields[i])
+                << cases[c].label << " " << kPinnedFieldNames[i];
+        }
+    }
 }
 
 /** A small but multi-SM config for fast integration tests. */
