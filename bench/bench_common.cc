@@ -187,7 +187,8 @@ runWorkloadOn(Gpu &gpu, const std::string &workload_name,
                                   interval_series);
     if (!g_telemetry.traceJsonPath.empty())
         gpu.enableTraceJson(indexedPath(g_telemetry.traceJsonPath,
-                                        run_index));
+                                        run_index),
+                            g_telemetry.traceCategories);
     if (!g_telemetry.checkpointPath.empty())
         gpu.setCheckpoint(indexedPath(g_telemetry.checkpointPath,
                                       run_index),
@@ -296,7 +297,8 @@ runCoRunOn(Gpu &gpu, const std::vector<std::string> &workload_names,
                                   interval_series);
     if (!g_telemetry.traceJsonPath.empty())
         gpu.enableTraceJson(indexedPath(g_telemetry.traceJsonPath,
-                                        run_index));
+                                        run_index),
+                            g_telemetry.traceCategories);
     if (!g_telemetry.checkpointPath.empty())
         gpu.setCheckpoint(indexedPath(g_telemetry.checkpointPath,
                                       run_index),

@@ -71,6 +71,8 @@ struct TelemetryOptions
     std::string statsJsonPath;
     Cycle statsInterval = 0;
     std::string traceJsonPath;
+    /** Categories the trace records (run_benchmark's --trace). */
+    std::uint32_t traceCategories = telemetry::defaultTraceCategories;
     std::string checkpointPath;
     Cycle checkpointEvery = 0;
     std::string restorePath;

@@ -13,7 +13,6 @@
 
 #include "common/log.hh"
 #include "common/logger.hh"
-#include "common/trace.hh"
 #include "service/stats_json.hh"
 #include "service/worker_pool.hh"
 
@@ -52,13 +51,6 @@ runAll(const std::vector<RunSpec> &specs, unsigned jobs)
         std::min<std::size_t>(jobs ? jobs : 1, specs.size()));
     if (pool_size < 1)
         pool_size = 1;
-    if (pool_size > 1 && Trace::instance().anyEnabled()) {
-        // The textual Trace sink is process-global and unsynchronized
-        // (trace.hh); concurrent Gpus would interleave its lines.
-        std::fprintf(stderr, "[parallel-runner] global trace sink "
-                             "enabled; forcing jobs=1\n");
-        pool_size = 1;
-    }
 
     // --jobs and --sim-threads multiply: each of the pool's workers
     // shards its simulation across simThreads threads. Oversubscribing

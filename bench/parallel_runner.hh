@@ -58,12 +58,8 @@ unsigned resolveJobs(int argc, char **argv);
 /**
  * Simulate every spec, at most @p jobs concurrently, each worker on
  * its own Gpu arena. results[i] corresponds to specs[i]. Prints a batch
- * wall-clock /
- * sim-rate summary to stderr. The first worker exception is rethrown
- * on the calling thread after the pool drains. While the global
- * textual Trace sink is enabled (see trace.hh), the pool is forced to
- * one job — interleaved trace lines from concurrent Gpus would be
- * garbage.
+ * wall-clock / sim-rate summary to stderr. The first worker exception
+ * is rethrown on the calling thread after the pool drains.
  */
 std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
                               unsigned jobs);

@@ -20,6 +20,11 @@
  *     --sms N               number of SMs
  *     --scale N             problem scale (0 = tiny, 1 = default)
  *     --bypass-l1           route global loads around the L1
+ *     --trace-json PATH     write a Perfetto trace of the run
+ *     --trace FLAGS         the categories --trace-json records
+ *                           (issue,mem,swap,cta,dram,barrier,all;
+ *                           default swap,cta,dram,barrier); needs
+ *                           --trace-json
  *     --checkpoint PATH     write a vtsim-ckpt-v1 checkpoint (once at
  *                           kernel end, or on a cadence with
  *                           --checkpoint-every N)
@@ -42,7 +47,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "config/sim_mode.hh"
 #include "gpu/gpu.hh"
 #include "parallel_runner.hh"
@@ -66,8 +70,9 @@ usage()
                  "       [--restore PATH]\n"
                  "       [--record-trace PATH] [--replay-trace PATH]\n"
                  "       [--dump-stats] | --list\n"
-                 "  trace flags: issue,mem,swap,cta,dram,barrier,all "
-                 "(to stderr)\n"
+                 "  --trace: the categories --trace-json records: "
+                 "issue,mem,swap,cta,dram,barrier,all\n"
+                 "    (default swap,cta,dram,barrier)\n"
                  "  --stats-interval: stat-delta JSONL every N cycles "
                  "(to stderr)\n"
                  "  --trace-json: Perfetto trace (load at "
@@ -113,6 +118,8 @@ try {
     bool dump_stats = false;
     Cycle stats_interval = 0;
     std::string trace_json_path;
+    bool trace_flag = false;
+    std::uint32_t trace_categories = telemetry::defaultTraceCategories;
     std::string checkpoint_path;
     Cycle checkpoint_every = 0;
     std::string restore_path;
@@ -178,8 +185,8 @@ try {
         } else if (a == "--throttle") {
             cfg.throttleEnabled = true;
         } else if (a == "--trace") {
-            Trace::instance().enable(Trace::parseFlags(next_value(i)),
-                                     &std::cerr);
+            trace_categories = telemetry::parseTraceCategories(next_value(i));
+            trace_flag = true;
         } else if (a == "--stats-interval") {
             stats_interval = next_count(i, Cycle(0));
         } else if (a == "--trace-json") {
@@ -195,6 +202,13 @@ try {
         } else {
             usage();
         }
+    }
+
+    if (trace_flag && trace_json_path.empty()) {
+        std::fprintf(stderr, "run_benchmark: --trace selects the "
+                             "categories of --trace-json; add "
+                             "--trace-json PATH\n");
+        return 1;
     }
 
     // Shared resolution (and strict validation) of --jobs/VTSIM_JOBS:
@@ -232,6 +246,7 @@ try {
         bench::TelemetryOptions telemetry = shared;
         telemetry.statsInterval = stats_interval;
         telemetry.traceJsonPath = trace_json_path;
+        telemetry.traceCategories = trace_categories;
         bench::setTelemetryOptions(telemetry);
         std::vector<bench::RunSpec> specs;
         for (const auto &n : names)
@@ -268,7 +283,7 @@ try {
         if (stats_interval > 0)
             gpu.enableIntervalSampler(stats_interval, std::cerr);
         if (!trace_json_path.empty())
-            gpu.enableTraceJson(trace_json_path);
+            gpu.enableTraceJson(trace_json_path, trace_categories);
         if (!checkpoint_path.empty())
             gpu.setCheckpoint(checkpoint_path, checkpoint_every);
         if (!restore_path.empty())
@@ -298,7 +313,7 @@ try {
     if (stats_interval > 0)
         gpu.enableIntervalSampler(stats_interval, std::cerr);
     if (!trace_json_path.empty())
-        gpu.enableTraceJson(trace_json_path);
+        gpu.enableTraceJson(trace_json_path, trace_categories);
     if (!checkpoint_path.empty())
         gpu.setCheckpoint(checkpoint_path, checkpoint_every);
     if (!shared.recordTracePath.empty())

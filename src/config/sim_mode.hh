@@ -2,17 +2,17 @@
  * @file
  * The execution-mode compatibility matrix. A run combines several
  * orthogonal switches — trace record/replay, mid-run checkpoints,
- * sharded simulation, the textual Trace facade, and (since concurrent
- * launches) multi-grid co-runs — and not every combination is
- * meaningful. The rules used to live as ad-hoc fatals scattered over
- * run_benchmark, the bench binaries, the job service and Gpu itself;
- * this header is the one place they are stated, and validateSimMode the
- * one error path that reports a violation.
+ * sharded simulation, and (since concurrent launches) multi-grid
+ * co-runs — and not every combination is meaningful. The rules used
+ * to live as ad-hoc fatals scattered over run_benchmark, the bench
+ * binaries, the job service and Gpu itself; this header is the one
+ * place they are stated, and validateSimMode the one error path that
+ * reports a violation.
  *
- * Two switch interactions are deliberately NOT errors but documented
- * fallbacks: trace recording and the textual Trace facade each force
- * sequential simulation, so combining either with --sim-threads > 1
- * silently runs sequentially (Gpu::effectiveSimThreads).
+ * One switch interaction is deliberately NOT an error but a documented
+ * fallback: trace recording forces sequential simulation, so combining
+ * it with --sim-threads > 1 runs sequentially, with a warning
+ * (Gpu::effectiveSimThreads).
  */
 
 #ifndef VTSIM_CONFIG_SIM_MODE_HH

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "sim/serialize_util.hh"
 #include "telemetry/trace_json.hh"
 
@@ -52,10 +51,21 @@ void
 VirtualThreadManager::traceStateChange(VirtualCtaId id, CtaState state,
                                        Cycle now)
 {
-    if (!traceJson_)
+    if (!traceJson_ || !traceJson_->enabled(telemetry::TraceCategory::Swap))
         return;
     traceJson_->end(smId_, id, now);
     traceJson_->begin(smId_, id, now, toString(state), "vt");
+}
+
+void
+VirtualThreadManager::openResidentSpans(Cycle now)
+{
+    if (!traceJson_ || !traceJson_->enabled(telemetry::TraceCategory::Swap))
+        return;
+    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
+        if (ctas_[id].resident)
+            traceJson_->begin(smId_, id, now, toString(ctas_[id].state), "vt");
+    }
 }
 
 void
@@ -168,11 +178,11 @@ VirtualThreadManager::onAdmit(VirtualCtaId id, Cycle now, GridId grid)
     rec.grid = grid;
     ++residentCount_;
 
-    VTSIM_TRACE(TraceFlag::Cta, now, stats_.name(), "admit cta ", id,
-                " (grid ", grid, ", resident ", residentCount_, ")");
     if (traceJson_) {
-        traceJson_->instant(smId_, id, now, "admit", "cta");
-        traceJson_->begin(smId_, id, now, toString(rec.state), "vt");
+        if (traceJson_->enabled(telemetry::TraceCategory::Cta))
+            traceJson_->instant(smId_, id, now, "admit", "cta");
+        if (traceJson_->enabled(telemetry::TraceCategory::Swap))
+            traceJson_->begin(smId_, id, now, toString(rec.state), "vt");
     }
     if (!activationBlocked_[grid] && activeSlotFreeFor(fps_[grid]))
         activate(id, now);
@@ -185,10 +195,11 @@ VirtualThreadManager::onCtaFinished(VirtualCtaId id, Cycle now)
                  "finish of unknown CTA ", id);
     VTSIM_ASSERT(ctas_[id].state == CtaState::Active,
                  "CTA ", id, " finished while ", toString(ctas_[id].state));
-    VTSIM_TRACE(TraceFlag::Cta, now, stats_.name(), "finish cta ", id);
     if (traceJson_) {
-        traceJson_->end(smId_, id, now);
-        traceJson_->instant(smId_, id, now, "finish", "cta");
+        if (traceJson_->enabled(telemetry::TraceCategory::Swap))
+            traceJson_->end(smId_, id, now);
+        if (traceJson_->enabled(telemetry::TraceCategory::Cta))
+            traceJson_->instant(smId_, id, now, "finish", "cta");
     }
     const CtaFootprint &fp = fps_[ctas_[id].grid];
     releaseActiveSlot(fp);
@@ -229,8 +240,6 @@ VirtualThreadManager::forceSwapOut(VirtualCtaId id, Cycle now)
     CtaRec &out = ctas_[id];
     VTSIM_ASSERT(out.state == CtaState::Active, "forceSwapOut of ",
                  toString(out.state), " CTA ", id);
-    VTSIM_TRACE(TraceFlag::Swap, now, stats_.name(),
-                "preempt swap out cta ", id, " (grid ", out.grid, ")");
     // No swapStallStreak_ sample: this is a preemption, not the stall
     // trigger, and the histogram measures the trigger's patience.
     out.state = CtaState::SwappingOut;
@@ -444,9 +453,6 @@ VirtualThreadManager::tick(Cycle now)
     if (!fits)
         return;
 
-    VTSIM_TRACE(TraceFlag::Swap, now, stats_.name(), "swap out cta ",
-                victim, " (stalled ", ctas_[victim].stalledFor,
-                " cycles), swap in cta ", incoming);
     CtaRec &out = ctas_[victim];
     swapStallStreak_.sample(out.stalledFor);
     out.state = CtaState::SwappingOut;

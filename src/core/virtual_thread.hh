@@ -165,7 +165,6 @@ class VirtualThreadManager
      * cap are deferred.
      */
     void setActiveCap(std::uint32_t cap) { dynamicCap_ = cap; }
-    std::uint32_t activeCap() const { return dynamicCap_; }
 
     /**
      * Block (or unblock) activations of @p grid's CTAs: blocked grids
@@ -176,8 +175,6 @@ class VirtualThreadManager
      */
     void setGridActivationBlocked(GridId grid, bool blocked)
     { activationBlocked_[grid] = blocked ? 1 : 0; }
-    bool gridActivationBlocked(GridId grid) const
-    { return activationBlocked_[grid] != 0; }
 
     /**
      * Preempt one Active CTA: swap it out now regardless of its stall
@@ -203,10 +200,6 @@ class VirtualThreadManager
     // --- Stats -------------------------------------------------------------
     std::uint64_t swapOuts() const { return swapOuts_.value(); }
     std::uint64_t swapIns() const { return swapIns_.value(); }
-    std::uint64_t gridSwapOuts(GridId g) const
-    { return gridSwapOuts_.at(g).value(); }
-    std::uint64_t gridSwapIns(GridId g) const
-    { return gridSwapIns_.at(g).value(); }
     StatGroup &stats() { return stats_; }
 
     /**
@@ -217,6 +210,11 @@ class VirtualThreadManager
      */
     void setTraceJson(telemetry::TraceJsonWriter *writer)
     { traceJson_ = writer; }
+
+    /** Open the residency span of every resident CTA at @p now. CTAs
+     *  restored from a checkpoint have none open in this run's trace,
+     *  and their next transition would close nothing. */
+    void openResidentSpans(Cycle now);
 
     // Checkpoint plumbing (driven by the owning SmCore).
     void reset();

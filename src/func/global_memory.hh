@@ -34,7 +34,6 @@ class GlobalMemory
      * ops in canonical order (see Gpu's replay pass).
      */
     void setDeferWrites(bool defer) { deferWrites_ = defer; }
-    bool deferWrites() const { return deferWrites_; }
 
     /** Read one byte (zero if untouched). */
     std::uint8_t read8(Addr addr) const;

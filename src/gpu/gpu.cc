@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iostream>
 #include <iterator>
 #include <queue>
 #include <thread>
@@ -10,7 +9,7 @@
 #include <utility>
 
 #include "common/log.hh"
-#include "common/trace.hh"
+#include "common/logger.hh"
 #include "config/sim_mode.hh"
 #include "isa/assembler.hh"
 
@@ -246,16 +245,17 @@ Gpu::enableIntervalSampler(Cycle interval, const std::string &path)
 }
 
 void
-Gpu::enableTraceJson(const std::string &path)
+Gpu::enableTraceJson(const std::string &path, std::uint32_t categories)
 {
-    traceJson_ = std::make_unique<telemetry::TraceJsonWriter>(path);
+    traceJson_ =
+        std::make_unique<telemetry::TraceJsonWriter>(path, categories);
     attachTraceJson();
 }
 
 void
-Gpu::enableTraceJson(std::ostream &os)
+Gpu::enableTraceJson(std::ostream &os, std::uint32_t categories)
 {
-    traceJson_ = std::make_unique<telemetry::TraceJsonWriter>(os);
+    traceJson_ = std::make_unique<telemetry::TraceJsonWriter>(os, categories);
     attachTraceJson();
 }
 
@@ -268,15 +268,24 @@ Gpu::enableProfiler()
 void
 Gpu::attachTraceJson()
 {
-    for (auto &sm : sms_) {
-        traceJson_->processName(sm->id(),
-                                "sm" + std::to_string(sm->id()));
-        sm->setTraceJson(traceJson_.get());
-    }
+    for (auto &sm : sms_)
+        traceJson_->processName(sm->id(), "sm" + std::to_string(sm->id()));
+    for (std::uint32_t p = 0; p < partitions_.size(); ++p)
+        traceJson_->processName(numSms() + p, "dram_" + std::to_string(p));
+    routeTrace(TraceRoute::Writer);
+}
+
+void
+Gpu::routeTrace(TraceRoute route)
+{
+    telemetry::TraceJsonWriter *writer =
+        route == TraceRoute::Writer ? traceJson_.get() : nullptr;
+    const bool staged = route == TraceRoute::Stages && !smStages_.empty();
+    for (std::uint32_t s = 0; s < sms_.size(); ++s)
+        sms_[s]->setTraceJson(staged ? smStages_[s].get() : writer);
     for (std::uint32_t p = 0; p < partitions_.size(); ++p) {
-        const std::uint32_t pid = numSms() + p;
-        traceJson_->processName(pid, "dram_" + std::to_string(p));
-        partitions_[p]->setTraceJson(traceJson_.get(), pid);
+        partitions_[p]->setTraceJson(staged ? partStages_[p].get() : writer,
+                                     numSms() + p);
     }
 }
 
@@ -321,13 +330,8 @@ Gpu::reset()
     sampler_.reset();
     samplerFile_.reset();
     profiler_.reset();
-    if (traceJson_) {
-        for (auto &sm : sms_)
-            sm->setTraceJson(nullptr);
-        for (auto &p : partitions_)
-            p->setTraceJson(nullptr, 0);
-        traceJson_.reset();
-    }
+    routeTrace(TraceRoute::Off);
+    traceJson_.reset();
 
     // The thread-count knob resets with the rest of the per-run wiring;
     // the pool itself survives (worker threads hold no simulated state,
@@ -816,6 +820,7 @@ Gpu::launchConcurrent(const std::vector<GridLaunch> &launches,
                 sm->rebindGrid(GridId(g), *grids_[g].kernel,
                                grids_[g].params, gmem_);
             }
+            sm->vt().openResidentSpans(cycle_);
         }
     } else {
         grids_.clear();
@@ -1103,15 +1108,9 @@ Gpu::effectiveSimThreads() const
     if (n <= 1)
         return 1;
     if (!recordTracePath_.empty()) {
-        std::cerr << "[vtsim] trace recording enabled; forcing "
-                     "sim-threads=1 (the recorder is one stream in "
-                     "global cycle order)\n";
-        return 1;
-    }
-    if (Trace::instance().anyEnabled()) {
-        std::cerr << "[vtsim] textual trace sink enabled; forcing "
-                     "sim-threads=1 (the Trace facade is a process-global "
-                     "singleton the shard workers would race on)\n";
+        logging::warn("vtsim", "trace recording enabled; forcing "
+                               "sim-threads=1 (the recorder is one stream "
+                               "in global cycle order)");
         return 1;
     }
     return n;
@@ -1296,20 +1295,18 @@ Gpu::runSharded(unsigned workers)
     // Retarget every component's Perfetto writer at a private staging
     // buffer for the duration of the run.
     if (traceJson_) {
+        const std::uint32_t categories = traceJson_->categories();
         smStages_.clear();
         partStages_.clear();
         for (std::uint32_t s = 0; s < sms_.size(); ++s) {
-            auto stage = std::make_unique<telemetry::TraceStage>();
-            stage->setRank(smTickRank(s));
-            sms_[s]->setTraceJson(stage.get());
-            smStages_.push_back(std::move(stage));
+            smStages_.push_back(std::make_unique<telemetry::TraceStage>(
+                categories, smTickRank(s)));
         }
         for (std::uint32_t p = 0; p < partitions_.size(); ++p) {
-            auto stage = std::make_unique<telemetry::TraceStage>();
-            stage->setRank(numSms() + p);
-            partitions_[p]->setTraceJson(stage.get(), numSms() + p);
-            partStages_.push_back(std::move(stage));
+            partStages_.push_back(std::make_unique<telemetry::TraceStage>(
+                categories, numSms() + p));
         }
+        routeTrace(TraceRoute::Stages);
     }
 
     struct SmEpoch
@@ -1645,14 +1642,9 @@ Gpu::runSharded(unsigned workers)
     // Hand the components back the real writer (no metadata re-emit:
     // attachTraceJson already named the processes).
     mergeTraceStages();
-    if (traceJson_) {
-        for (auto &sm : sms_)
-            sm->setTraceJson(traceJson_.get());
-        for (std::uint32_t p = 0; p < partitions_.size(); ++p)
-            partitions_[p]->setTraceJson(traceJson_.get(), numSms() + p);
-        smStages_.clear();
-        partStages_.clear();
-    }
+    routeTrace(TraceRoute::Writer);
+    smStages_.clear();
+    partStages_.clear();
 }
 
 void
@@ -1822,12 +1814,7 @@ Gpu::verifyShardEpoch(const std::vector<std::vector<std::uint8_t>> &pre,
     for (std::size_t g = 0; g < grids_.size(); ++g)
         grids_[g].dispatcher->setDispatched(pre_dispatched[g]);
     // The rerun must not re-emit the events the stages already hold.
-    if (traceJson_) {
-        for (auto &sm : sms_)
-            sm->setTraceJson(nullptr);
-        for (auto &p : partitions_)
-            p->setTraceJson(nullptr, 0);
-    }
+    routeTrace(TraceRoute::Off);
     // The naive sequential loop over the epoch (plus the exit cycles
     // the barrier accounted): no sampler, checkpoint, fast-forward or
     // watchdog — those belong to the driver, not the machine.
@@ -1845,13 +1832,7 @@ Gpu::verifyShardEpoch(const std::vector<std::vector<std::uint8_t>> &pre,
             sm->tick(c);
     }
     const auto rerun = captureShardImages();
-    if (traceJson_) {
-        for (std::uint32_t s = 0; s < sms_.size(); ++s)
-            sms_[s]->setTraceJson(smStages_[s].get());
-        for (std::uint32_t p = 0; p < partitions_.size(); ++p)
-            partitions_[p]->setTraceJson(partStages_[p].get(),
-                                         numSms() + p);
-    }
+    routeTrace(TraceRoute::Stages);
     // The simulation continues from the rerun's state, which this diff
     // proves byte-identical to the sharded epoch's outcome.
     for (std::size_t i = 0; i < post.size(); ++i) {

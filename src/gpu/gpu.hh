@@ -307,13 +307,20 @@ class Gpu
     void enableIntervalSampler(Cycle interval, const std::string &path);
 
     /**
-     * Export Swap/Cta/Barrier/Dram events of subsequent launches as a
-     * Perfetto/Chrome trace (see telemetry/trace_json.hh). The writer
-     * is per-Gpu: hermetic Gpus on the parallel runner's thread pool
-     * can each trace to their own file.
+     * Export the events of the @p categories mask (see
+     * telemetry/trace_json.hh; default swap, cta, dram, barrier) as a
+     * Perfetto/Chrome trace. The writer is per-Gpu: hermetic Gpus on
+     * the parallel runner's thread pool can each trace to their own
+     * file, and the trace is byte-identical at any setSimThreads().
+     * A launch that resumes a checkpoint opens the residency span of
+     * every CTA resident at the restore point.
      */
-    void enableTraceJson(const std::string &path);
-    void enableTraceJson(std::ostream &os);
+    void enableTraceJson(
+        const std::string &path,
+        std::uint32_t categories = telemetry::defaultTraceCategories);
+    void enableTraceJson(
+        std::ostream &os,
+        std::uint32_t categories = telemetry::defaultTraceCategories);
 
     /**
      * Attribute wall time of subsequent launches to simulation phases
@@ -343,8 +350,13 @@ class Gpu
     std::uint64_t totalIssued() const;
     std::uint32_t partitionOf(Addr line_addr) const;
     void attachTraceJson();
+    enum class TraceRoute { Off, Writer, Stages };
+    /** Point every SM's and partition's trace pointer at traceJson_
+     *  (Writer), the shard stages of a sharded run (Stages), or at
+     *  nothing (Off: no writer, or the shard oracle's rerun). */
+    void routeTrace(TraceRoute route);
     /** Thread count the next launch will actually use (clamped to the
-     *  component count; 1 while the textual Trace facade is active). */
+     *  component count; 1 while recording a memory-access trace). */
     unsigned effectiveSimThreads() const;
     /** Any resident grid's dispatcher still has CTAs to hand out. */
     bool anyGridHasWork() const;
@@ -484,8 +496,8 @@ class Gpu
 
     // Sharded-simulation state (setSimThreads). The pool persists across
     // launches; the stages exist only while a sharded launch is running
-    // (components' trace pointers are retargeted at them for its
-    // duration and restored to traceJson_ afterwards).
+    // (routeTrace points components at them for its duration and back
+    // at traceJson_ afterwards).
     unsigned simThreads_ = 1;
     std::unique_ptr<ShardPool> pool_;
     std::vector<std::unique_ptr<telemetry::TraceStage>> smStages_;

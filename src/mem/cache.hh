@@ -110,7 +110,6 @@ class Cache : public SimComponent
     const CacheParams &params() const { return params_; }
 
     StatGroup &stats() { return stats_; }
-    const StatGroup &statGroup() const { return stats_; }
 
     // Raw stat accessors used by benches.
     std::uint64_t hits() const { return hits_.value(); }

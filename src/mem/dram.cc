@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "sim/serialize_util.hh"
 #include "telemetry/trace_json.hh"
 
@@ -86,10 +85,7 @@ Dram::issueOne(Cycle now)
     queue_.erase(queue_.begin() + chosen);
     Bank &bank = banks_[req.bank];
 
-    VTSIM_TRACE(TraceFlag::Dram, now, stats_.name(), "issue line 0x",
-                std::hex, req.lineAddr, std::dec, " bank ", req.bank,
-                bank.openRow == req.row ? " (row hit)" : " (row miss)");
-    if (traceJson_) {
+    if (traceJson_ && traceJson_->enabled(telemetry::TraceCategory::Dram)) {
         traceJson_->instant(tracePid_, req.bank, now,
                             bank.openRow == req.row ? "row-hit"
                                                     : "row-miss",

@@ -94,15 +94,6 @@ class Dram : public SimComponent
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
     std::uint64_t bytesTransferred() const { return bytes_.value(); }
 
-    /** Per-grid row hit/miss/bytes split (concurrent launches). The
-     *  aggregates above are unchanged: both legs count every command. */
-    std::uint64_t gridRowHits(GridId g) const
-    { return gridRowHits_.at(g).value(); }
-    std::uint64_t gridRowMisses(GridId g) const
-    { return gridRowMisses_.at(g).value(); }
-    std::uint64_t gridBytes(GridId g) const
-    { return gridBytes_.at(g).value(); }
-
     /** Route command-issue events to a per-Gpu Perfetto writer as
      *  instants on (pid = @p pid, tid = bank); null disables. */
     void setTraceJson(telemetry::TraceJsonWriter *writer, std::uint32_t pid)

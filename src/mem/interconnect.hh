@@ -109,8 +109,6 @@ class Interconnect : public SimComponent
     /** Fold a worker's drain counts into the shared stats (barrier). */
     void applyPortDelta(const PortDelta &delta);
 
-    bool requestPortEmpty(std::uint32_t partition) const
-    { return reqQueues_[partition].empty(); }
     bool responsePortEmpty(std::uint32_t sm) const
     { return respQueues_[sm].empty(); }
 

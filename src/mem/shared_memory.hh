@@ -37,7 +37,6 @@ class SharedMemoryModel
     Cycle portReadyAt() const { return portReadyAt_; }
 
     StatGroup &stats() { return stats_; }
-    std::uint64_t conflictPasses() const { return conflictPasses_.value(); }
 
     // Lifecycle helpers driven by the owning SmCore.
     void

@@ -59,7 +59,6 @@ class Json
     static Json parse(std::string_view text);
 
     Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
     bool isBool() const { return type_ == Type::Bool; }
     bool isInt() const { return type_ == Type::Int; }
     bool isNumber() const

@@ -43,8 +43,6 @@ class EventHorizon
     void addConstraint(Constraint fn, void *ctx)
     { constraints_.push_back({fn, ctx}); }
 
-    void clearConstraints() { constraints_.clear(); }
-
     /**
      * The furthest cycle > @p now the clock may jump to, or @p now when
      * no jump is possible (some component has work at `now`, or a

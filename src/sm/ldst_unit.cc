@@ -1,9 +1,9 @@
 #include "sm/ldst_unit.hh"
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "mem/interconnect.hh"
 #include "sim/serialize_util.hh"
+#include "telemetry/trace_json.hh"
 
 namespace vtsim {
 
@@ -242,14 +242,14 @@ LdstUnit::injectOne(Cycle now)
 
     switch (l1_.access(probe)) {
       case CacheOutcome::Hit:
-        VTSIM_TRACE(TraceFlag::Mem, now, stats_.name(), "L1 hit line 0x",
-                    std::hex, t.lineAddr);
+        if (traceJson_)
+            traceL1("l1-hit", t, now);
         hitPending_.push({now + config_.l1HitLatency, token});
         injectQueue_.pop_front();
         return true;
       case CacheOutcome::MissNew: {
-        VTSIM_TRACE(TraceFlag::Mem, now, stats_.name(),
-                    "L1 miss line 0x", std::hex, t.lineAddr);
+        if (traceJson_)
+            traceL1("l1-miss", t, now);
         t.throughL1 = true;
         markOffChip(token);
         MemRequest req = probe;
@@ -269,6 +269,17 @@ LdstUnit::injectOne(Cycle now)
         return false; // Head stays; retry next cycle.
     }
     return false;
+}
+
+void
+LdstUnit::traceL1(const char *outcome, const Transaction &t, Cycle now)
+{
+    if (traceJson_->enabled(telemetry::TraceCategory::Mem)) {
+        traceJson_->instant(smId_, pendingSlab_[t.pendingIdx].vcta, now,
+                            detail::concat(outcome, " 0x", std::hex,
+                                           t.lineAddr),
+                            "mem");
+    }
 }
 
 void

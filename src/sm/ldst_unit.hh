@@ -26,6 +26,10 @@ namespace vtsim {
 
 class Interconnect;
 
+namespace telemetry {
+class TraceJsonWriter;
+}
+
 /**
  * Callbacks from the LDST unit into the SM core.
  *
@@ -98,6 +102,11 @@ class LdstUnit : public MemResponseSink, public SimComponent
      *  null disables. */
     void setMtraceWriter(MtraceWriter *writer) { mtrace_ = writer; }
 
+    /** Route L1 hit/miss events to a Perfetto writer (pid = SM id,
+     *  tid = the issuing CTA slot); null disables. */
+    void setTraceJson(telemetry::TraceJsonWriter *writer)
+    { traceJson_ = writer; }
+
     /** Drive injections and L1-hit completions for cycle @p now. */
     void tick(Cycle now) override;
 
@@ -139,10 +148,6 @@ class LdstUnit : public MemResponseSink, public SimComponent
     /** Coalesced transactions generated (stat). */
     std::uint64_t transactions() const { return transactions_.value(); }
 
-    /** Mean outstanding off-chip loads per cycle (memory parallelism). */
-    double meanMlp() const { return mlp_.mean(); }
-    double meanQueueWait() const { return queueWait_.mean(); }
-    double meanRoundTrip() const { return roundTrip_.mean(); }
     StatGroup &stats() { return stats_; }
 
     /** Invalidate L1 (kernel boundary). */
@@ -181,6 +186,8 @@ class LdstUnit : public MemResponseSink, public SimComponent
     void completeTransaction(std::uint64_t token);
     void markOffChip(std::uint64_t token);
     bool injectOne(Cycle now);
+    /** Emit an L1 @p outcome instant for @p t, if mem is traced. */
+    void traceL1(const char *outcome, const Transaction &t, Cycle now);
 
     SmId smId_;
     const GpuConfig &config_;
@@ -189,6 +196,7 @@ class LdstUnit : public MemResponseSink, public SimComponent
     Cache l1_;
     /** Trace sink for record mode (not machine state, never saved). */
     MtraceWriter *mtrace_ = nullptr;
+    telemetry::TraceJsonWriter *traceJson_ = nullptr;
 
     std::vector<PendingWarpMem> pendingSlab_;
     std::vector<std::uint32_t> pendingFree_;

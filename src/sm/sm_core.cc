@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "isa/disassembler.hh"
 #include "func/global_memory.hh"
 #include "sim/serialize_util.hh"
@@ -133,6 +132,7 @@ SmCore::setTraceJson(telemetry::TraceJsonWriter *writer)
 {
     traceJson_ = writer;
     vt_.setTraceJson(writer);
+    ldst_.setTraceJson(writer);
 }
 
 void
@@ -716,9 +716,13 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
     const ActiveMask mask = warp.stack().activeMask();
     const std::uint32_t w = warp.warpInCta();
 
-    VTSIM_TRACE(TraceFlag::Issue, now, stats_.name(), "cta ", slot, " w",
-                w, " pc ", pc, " [", mask.count(), " lanes] ",
-                disassemble(inst));
+    if (traceJson_ && traceJson_->enabled(telemetry::TraceCategory::Issue)) {
+        traceJson_->instant(id_, slot, now,
+                            detail::concat("w", w, " pc ", pc, " [",
+                                           mask.count(), " lanes] ",
+                                           disassemble(inst)),
+                            "issue");
+    }
     // Functional execution: the instruction's pre-decoded micro-op.
     ExecResult &res = execScratch_;
     executeMicroInto(kernelOf(cta)->micro(), pc, w, mask, cta.func, *gmem_,
@@ -828,10 +832,10 @@ SmCore::maybeReleaseBarrier(VirtualCtaId slot, Cycle now)
     VirtualCta &cta = ctas_[slot];
     if (!barriers_.shouldRelease(slot, cta.issue.warpsAlive))
         return;
-    VTSIM_TRACE(TraceFlag::Barrier, now, stats_.name(), "cta ", slot,
-                " barrier released (", cta.issue.warpsAlive, " warps)");
-    if (traceJson_)
+    if (traceJson_ &&
+        traceJson_->enabled(telemetry::TraceCategory::Barrier)) {
         traceJson_->instant(id_, slot, now, "barrier-release", "barrier");
+    }
     const bool issuable = vt_.isIssuable(slot);
     barriers_.releaseInto(slot, barrierScratch_);
     for (std::uint32_t w : barrierScratch_) {

@@ -1,11 +1,37 @@
 #include "telemetry/trace_json.hh"
 
+#include <algorithm>
+#include <iterator>
+#include <sstream>
+
 #include "common/log.hh"
 
 namespace vtsim::telemetry {
 
-TraceJsonWriter::TraceJsonWriter(const std::string &path)
-    : file_(std::make_unique<std::ofstream>(path))
+std::uint32_t
+parseTraceCategories(const std::string &list)
+{
+    // In TraceCategory order: a name's index is its bit.
+    static const char *const names[] = {"issue", "mem",  "swap",
+                                        "cta",   "dram", "barrier"};
+    std::uint32_t mask = 0;
+    std::istringstream in(list);
+    std::string name;
+    while (std::getline(in, name, ',')) {
+        const auto it = std::find(std::begin(names), std::end(names), name);
+        if (it != std::end(names))
+            mask |= 1u << (it - std::begin(names));
+        else if (name == "all")
+            mask |= allTraceCategories;
+        else if (!name.empty())
+            VTSIM_FATAL("unknown trace category '", name, "'");
+    }
+    return mask;
+}
+
+TraceJsonWriter::TraceJsonWriter(const std::string &path,
+                                 std::uint32_t categories)
+    : categories_(categories), file_(std::make_unique<std::ofstream>(path))
 {
     if (!*file_)
         VTSIM_FATAL("cannot open trace file '", path, "'");
@@ -14,7 +40,9 @@ TraceJsonWriter::TraceJsonWriter(const std::string &path)
     open_ = true;
 }
 
-TraceJsonWriter::TraceJsonWriter(std::ostream &os) : os_(&os)
+TraceJsonWriter::TraceJsonWriter(std::ostream &os,
+                                 std::uint32_t categories)
+    : categories_(categories), os_(&os)
 {
     *os_ << "{\"traceEvents\":[\n";
     open_ = true;
@@ -94,23 +122,12 @@ TraceJsonWriter::instant(std::uint32_t pid, std::uint32_t tid, Cycle cycle,
 }
 
 void
-TraceJsonWriter::counter(std::uint32_t pid, Cycle cycle,
-                         const std::string &name, std::uint64_t value)
-{
-    event("{\"ph\":\"C\",\"pid\":" + std::to_string(pid) +
-          ",\"tid\":0,\"ts\":" + std::to_string(cycle) +
-          ",\"name\":\"" + name + "\",\"args\":{\"value\":" +
-          std::to_string(value) + "}}");
-}
-
-void
 TraceStage::replay(const Event &e, TraceJsonWriter &sink)
 {
     switch (e.kind) {
       case 0: sink.begin(e.pid, e.tid, e.cycle, e.name, e.cat); break;
       case 1: sink.end(e.pid, e.tid, e.cycle); break;
       case 2: sink.instant(e.pid, e.tid, e.cycle, e.name, e.cat); break;
-      case 3: sink.counter(e.pid, e.cycle, e.name, e.value); break;
       default: VTSIM_FATAL("corrupt staged trace event kind ",
                            unsigned(e.kind));
     }

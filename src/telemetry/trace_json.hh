@@ -7,17 +7,18 @@
  * model: each SM is a "process" (pid = SM id) whose "threads" are HW
  * CTA slots, and each DRAM channel is a process (pid = numSms +
  * channel) whose threads are banks. Virtual Thread residency becomes
- * nested duration events per slot — "active", "inactive", "swap-out",
- * "swap-in" — so the VT state machine is directly visible on the
- * timeline; barrier releases, CTA admission/finish and DRAM row
- * hits/misses are instant events. Timestamps are simulated cycles
- * reported as microseconds (1 cycle == 1 us), so the Perfetto time axis
- * reads directly in cycles.
+ * nested duration events per slot — "active", "inactive",
+ * "swapping-out", "swapping-in" — so the VT state machine is directly
+ * visible on the timeline; barrier releases, CTA admission/finish, DRAM
+ * row hits/misses, warp issues and L1 hits/misses are instant events.
+ * Timestamps are simulated cycles reported as microseconds (1 cycle ==
+ * 1 us), so the Perfetto time axis reads directly in cycles.
  *
- * Unlike the textual Trace facade (a process-global singleton, see
- * common/trace.hh), a TraceJsonWriter is per-Gpu state plumbed to
- * components by pointer — hermetic per-job Gpus on the parallel
- * runner's thread pool can each carry their own writer safely.
+ * A writer records the TraceCategory bits of its mask; emitters test
+ * enabled() before they format an event. It is per-Gpu state plumbed
+ * to components by pointer, and a sharded run stages events per
+ * component (TraceStage), so tracing composes with --jobs and
+ * --sim-threads.
  */
 
 #ifndef VTSIM_TELEMETRY_TRACE_JSON_HH
@@ -34,18 +35,60 @@
 
 namespace vtsim::telemetry {
 
+/** Event categories; each is one bit of a writer's mask (traceBit). */
+enum class TraceCategory : std::uint32_t
+{
+    Issue,   ///< Warp instruction issue, with its disassembly.
+    Mem,     ///< L1 hits and misses.
+    Swap,    ///< Virtual Thread residency spans.
+    Cta,     ///< CTA admission and finish.
+    Dram,    ///< DRAM row hits and misses.
+    Barrier, ///< Barrier releases.
+};
+
+constexpr std::uint32_t
+traceBit(TraceCategory category)
+{
+    return 1u << static_cast<std::uint32_t>(category);
+}
+
+/** Every category ("all"). */
+constexpr std::uint32_t allTraceCategories =
+    (traceBit(TraceCategory::Barrier) << 1) - 1;
+
+/** What a writer records unless told otherwise: issue and mem are
+ *  opt-in (one event per warp instruction, per L1 access). */
+constexpr std::uint32_t defaultTraceCategories =
+    traceBit(TraceCategory::Swap) | traceBit(TraceCategory::Cta) |
+    traceBit(TraceCategory::Dram) | traceBit(TraceCategory::Barrier);
+
+/** Parse a comma-separated category list ("issue,swap") into a mask:
+ *  issue, mem, swap, cta, dram, barrier, or all. Throws FatalError on
+ *  an unknown name. */
+std::uint32_t parseTraceCategories(const std::string &list);
+
 class TraceJsonWriter
 {
   public:
-    /** Write to @p path (opened now, footer written on destruction). */
-    explicit TraceJsonWriter(const std::string &path);
+    /** Write to @p path (opened now, footer written on destruction),
+     *  recording the @p categories mask. */
+    explicit TraceJsonWriter(
+        const std::string &path,
+        std::uint32_t categories = defaultTraceCategories);
 
     /** Write to an existing stream (not owned). */
-    explicit TraceJsonWriter(std::ostream &os);
+    explicit TraceJsonWriter(
+        std::ostream &os, std::uint32_t categories = defaultTraceCategories);
 
     virtual ~TraceJsonWriter();
     TraceJsonWriter(const TraceJsonWriter &) = delete;
     TraceJsonWriter &operator=(const TraceJsonWriter &) = delete;
+
+    /** Does this writer record @p category? */
+    bool enabled(TraceCategory category) const
+    { return (categories_ & traceBit(category)) != 0; }
+
+    std::uint32_t categories() const { return categories_; }
 
     /** Emit the closing bracket; further events are dropped. */
     void close();
@@ -71,17 +114,16 @@ class TraceJsonWriter
                          const std::string &name,
                          const std::string &category);
 
-    /** Counter track sample ("C"). */
-    virtual void counter(std::uint32_t pid, Cycle cycle,
-                         const std::string &name, std::uint64_t value);
-
   protected:
     /** Subclass (TraceStage) that never opens a sink. */
-    TraceJsonWriter() = default;
+    explicit TraceJsonWriter(std::uint32_t categories)
+        : categories_(categories)
+    {}
 
   private:
     void event(const std::string &json);
 
+    std::uint32_t categories_;
     std::unique_ptr<std::ofstream> file_;
     std::ostream *os_ = nullptr;
     bool open_ = false;
@@ -105,13 +147,17 @@ class TraceStage final : public TraceJsonWriter
         Cycle cycle;
         std::uint32_t rank;
         std::uint64_t seq; ///< Emission order within this stage.
-        std::uint8_t kind; ///< 0 begin, 1 end, 2 instant, 3 counter.
+        std::uint8_t kind; ///< 0 begin, 1 end, 2 instant.
         std::uint32_t pid;
         std::uint32_t tid;
         std::string name;
         std::string cat;
-        std::uint64_t value;
     };
+
+    /** A stage recording the real writer's @p categories at @p rank. */
+    TraceStage(std::uint32_t categories, std::uint32_t rank)
+        : TraceJsonWriter(categories), rank_(rank)
+    {}
 
     /** The within-cycle rank of the component that writes this stage;
      *  the Gpu epoch driver retargets it around admission phases. */
@@ -119,18 +165,14 @@ class TraceStage final : public TraceJsonWriter
 
     void begin(std::uint32_t pid, std::uint32_t tid, Cycle cycle,
                const std::string &name, const std::string &cat) override
-    { push({cycle, rank_, seq_++, 0, pid, tid, name, cat, 0}); }
+    { push({cycle, rank_, seq_++, 0, pid, tid, name, cat}); }
 
     void end(std::uint32_t pid, std::uint32_t tid, Cycle cycle) override
-    { push({cycle, rank_, seq_++, 1, pid, tid, {}, {}, 0}); }
+    { push({cycle, rank_, seq_++, 1, pid, tid, {}, {}}); }
 
     void instant(std::uint32_t pid, std::uint32_t tid, Cycle cycle,
                  const std::string &name, const std::string &cat) override
-    { push({cycle, rank_, seq_++, 2, pid, tid, name, cat, 0}); }
-
-    void counter(std::uint32_t pid, Cycle cycle, const std::string &name,
-                 std::uint64_t value) override
-    { push({cycle, rank_, seq_++, 3, pid, 0, name, {}, value}); }
+    { push({cycle, rank_, seq_++, 2, pid, tid, name, cat}); }
 
     bool empty() const { return events_.empty(); }
 
@@ -150,7 +192,7 @@ class TraceStage final : public TraceJsonWriter
   private:
     void push(Event e) { events_.push_back(std::move(e)); }
 
-    std::uint32_t rank_ = 0;
+    std::uint32_t rank_;
     std::uint64_t seq_ = 0;
     std::vector<Event> events_;
 };

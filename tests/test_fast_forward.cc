@@ -6,10 +6,14 @@
  * time loop, on the baseline, Virtual Thread, and CTA-throttled
  * machines alike. Likewise, the parallel runner fans hermetic Gpu
  * instances across threads, so a --jobs 4 batch must reproduce a
- * sequential batch exactly.
+ * sequential batch exactly, traces included.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "bench_common.hh"
 #include "gpu/gpu.hh"
@@ -144,6 +148,48 @@ TEST(ParallelRunner, MatchesSequentialRun)
         EXPECT_TRUE(parallel[i].verified);
         expectIdenticalStats(sequential[i].stats, parallel[i].stats,
                              "jobs4/" + specs[i].workload);
+    }
+}
+
+TEST(ParallelRunner, TracedBatchMatchesSequentialFiles)
+{
+    // Each run's Perfetto writer is its own: a traced batch fans out,
+    // and every per-run file equals the one a jobs=1 batch writes.
+    GpuConfig vt = smallConfig();
+    vt.vtEnabled = true;
+    std::vector<bench::RunSpec> specs;
+    for (const auto &name : {"vecadd", "reduce", "bfs", "matmul"})
+        specs.push_back({name, vt, 0});
+
+    const bench::TelemetryOptions saved = bench::telemetryOptions();
+    const auto traced = [&](unsigned jobs) {
+        bench::TelemetryOptions opts = saved;
+        opts.traceJsonPath = test::uniqueTempPath(
+            "runner_jobs" + std::to_string(jobs)) + ".json";
+        opts.traceCategories = telemetry::allTraceCategories;
+        bench::setTelemetryOptions(opts);
+        bench::runAll(specs, jobs);
+        std::vector<std::string> files;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const std::string path =
+                bench::indexedPath(opts.traceJsonPath, i);
+            std::ifstream in(path, std::ios::binary);
+            std::ostringstream text;
+            text << in.rdbuf();
+            files.push_back(text.str());
+            std::remove(path.c_str());
+        }
+        return files;
+    };
+    const auto sequential = traced(1);
+    const auto parallel = traced(4);
+    bench::setTelemetryOptions(saved);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_NE(sequential[i].find("\"cat\":\"issue\""),
+                  std::string::npos)
+            << specs[i].workload;
+        EXPECT_TRUE(sequential[i] == parallel[i]) << specs[i].workload;
     }
 }
 

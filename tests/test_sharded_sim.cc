@@ -5,7 +5,7 @@
  * traces, vtsim-ckpt-v1 checkpoint bytes — must be bit-identical to
  * the sequential run of the same machine and workload. Also covers
  * checkpoint/restore equivalence under sharding, the shard-oracle
- * divergence detector, and the textual-Trace sequential fallback.
+ * divergence detector, and that tracing keeps a run sharded.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.hh"
 #include "gpu/gpu.hh"
 #include "test_util.hh"
 #include "workloads/workload.hh"
@@ -194,25 +193,33 @@ TEST(ShardedSim, TraceJsonMatchesSequential)
     GpuConfig cfg = shardConfig();
     cfg.vtEnabled = true; // Swap events exercise the SM tick-phase rank.
 
-    std::ostringstream ref;
-    {
-        Gpu gpu(cfg);
-        gpu.enableTraceJson(ref);
-        launchOn(gpu, "bfs");
-    }
-    EXPECT_FALSE(ref.str().empty());
-
-    for (const unsigned threads : {2u, 4u}) {
-        std::ostringstream got;
+    // The default categories, then all of them: issue and L1 events are
+    // emitted inside SM ticks, DRAM events inside partition ticks.
+    for (const std::uint32_t categories :
+         {telemetry::defaultTraceCategories,
+          telemetry::allTraceCategories}) {
+        std::ostringstream ref;
         {
-            // The writer emits the JSON footer on destruction, so the
-            // Gpu must die before the streams are compared.
             Gpu gpu(cfg);
-            gpu.setSimThreads(threads);
-            gpu.enableTraceJson(got);
+            gpu.enableTraceJson(ref, categories);
             launchOn(gpu, "bfs");
         }
-        EXPECT_EQ(ref.str(), got.str()) << threads << " threads";
+        EXPECT_FALSE(ref.str().empty());
+
+        for (const unsigned threads : {2u, 4u}) {
+            std::ostringstream got;
+            {
+                // The writer emits the JSON footer on destruction, so
+                // the Gpu must die before the streams are compared.
+                Gpu gpu(cfg);
+                gpu.setSimThreads(threads);
+                gpu.enableTraceJson(got, categories);
+                launchOn(gpu, "bfs");
+            }
+            EXPECT_TRUE(ref.str() == got.str())
+                << threads << " threads, categories 0x" << std::hex
+                << categories;
+        }
     }
 }
 
@@ -312,21 +319,16 @@ TEST(ShardOracle, DetectsInjectedDivergence)
 }
 
 // ---------------------------------------------------------------------------
-// Textual Trace facade: process-global sink, so sharding must fall
-// back to sequential while it is enabled.
+// Tracing is per-Gpu state, so a traced run keeps its shards.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSim, TextualTraceForcesSequential)
+TEST(ShardedSim, TracedGpuKeepsThreadCount)
 {
     GpuConfig cfg = test::smallConfig();
     Gpu gpu(cfg);
     gpu.setSimThreads(2);
-    EXPECT_EQ(GpuTestAccess::effectiveSimThreads(gpu), 2u);
-
     std::ostringstream os;
-    Trace::instance().enable(TraceFlag::Swap, &os);
-    EXPECT_EQ(GpuTestAccess::effectiveSimThreads(gpu), 1u);
-    Trace::instance().disable();
+    gpu.enableTraceJson(os, telemetry::allTraceCategories);
     EXPECT_EQ(GpuTestAccess::effectiveSimThreads(gpu), 2u);
 }
 

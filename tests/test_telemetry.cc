@@ -5,14 +5,17 @@
  * interval sampler's JSONL series must be bit-identical with fast-
  * forward on and off (sampling is a measurement, not a perturbation),
  * and the Perfetto trace export must be valid JSON whose duration
- * events nest per (pid, tid) track.
+ * events nest per (pid, tid) track, recording exactly the categories
+ * it was asked for.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -328,16 +331,12 @@ TEST(IntervalSampler, SeriesBitIdenticalAcrossFastForward)
     EXPECT_GT(total_skipped, 0u);
 }
 
-TEST(TraceJson, ParsesAndDurationEventsNest)
+/** Expect @p text to be one valid trace whose duration events nest per
+ *  (pid, tid) track, with per-track timestamps that never decrease. */
+void
+expectNestedTrace(const std::string &text, const std::string &context)
 {
-    std::ostringstream os;
-    {
-        Gpu gpu(smallVtConfig());
-        gpu.enableTraceJson(os);
-        launchOn(gpu, "bfs");
-    } // Gpu destruction closes the writer (writes the JSON footer).
-    const std::string text = os.str();
-
+    SCOPED_TRACE(context);
     JsonChecker checker(text);
     EXPECT_TRUE(checker.valid());
 
@@ -381,6 +380,206 @@ TEST(TraceJson, ParsesAndDurationEventsNest)
         EXPECT_TRUE(stack.empty())
             << "unclosed span on pid " << key.first << " tid "
             << key.second;
+    }
+}
+
+TEST(TraceJson, ParsesAndDurationEventsNest)
+{
+    std::ostringstream os;
+    {
+        Gpu gpu(smallVtConfig());
+        gpu.enableTraceJson(os);
+        launchOn(gpu, "bfs");
+    } // Gpu destruction closes the writer (writes the JSON footer).
+    expectNestedTrace(os.str(), "fresh launch");
+
+    // A run restored mid-kernel starts with CTAs resident: their spans
+    // open at the restore cycle, whether the writer is attached before
+    // the restore (sequential) or after it (sharded).
+    const std::string mid = test::uniqueTempPath("trace_mid");
+    {
+        Gpu gpu(smallVtConfig());
+        gpu.setCheckpoint(mid, 500);
+        ASSERT_GT(launchOn(gpu, "bfs").cycles, 1000u);
+    }
+    for (const unsigned threads : {1u, 4u}) {
+        std::ostringstream restored;
+        {
+            auto wl = makeWorkload("bfs", 0);
+            const Kernel k = wl->buildKernel();
+            GlobalMemory scratch; // Teaches wl its addresses for verify().
+            wl->prepare(scratch);
+            Gpu gpu(smallVtConfig());
+            gpu.setSimThreads(threads);
+            LaunchParams lp;
+            if (threads == 1) {
+                gpu.enableTraceJson(restored);
+                lp = gpu.restoreCheckpoint(mid);
+            } else {
+                lp = gpu.restoreCheckpoint(mid);
+                gpu.enableTraceJson(restored);
+            }
+            gpu.launch(k, lp);
+            EXPECT_TRUE(wl->verify(gpu.memory()));
+        }
+        expectNestedTrace(restored.str(), "restored, sim-threads " +
+                                              std::to_string(threads));
+    }
+    std::remove(mid.c_str());
+}
+
+/** Launch @p name on @p cfg with a trace of @p categories; the trace. */
+std::string
+traceOf(const GpuConfig &cfg, const std::string &name,
+        std::uint32_t categories)
+{
+    std::ostringstream os;
+    {
+        Gpu gpu(cfg);
+        gpu.enableTraceJson(os, categories);
+        launchOn(gpu, name);
+    }
+    return os.str();
+}
+
+/** The "cat" values of @p trace's events. */
+std::set<std::string>
+categoriesIn(const std::string &trace)
+{
+    std::set<std::string> cats;
+    std::istringstream lines(trace);
+    std::string line;
+    while (std::getline(lines, line)) {
+        const std::string cat = field(line, "cat");
+        if (!cat.empty())
+            cats.insert(cat);
+    }
+    return cats;
+}
+
+// ---------------------------------------------------------------------------
+// Trace categories (run_benchmark --trace): the mask a writer records.
+// ---------------------------------------------------------------------------
+
+using telemetry::TraceCategory;
+using telemetry::traceBit;
+
+TEST(TraceTest, DisabledByDefault)
+{
+    // Per-instruction and per-access events are opt-in; the residency
+    // timeline and its markers are on.
+    std::ostringstream os;
+    const telemetry::TraceJsonWriter writer(os);
+    EXPECT_FALSE(writer.enabled(TraceCategory::Issue));
+    EXPECT_FALSE(writer.enabled(TraceCategory::Mem));
+    EXPECT_TRUE(writer.enabled(TraceCategory::Swap));
+    EXPECT_TRUE(writer.enabled(TraceCategory::Cta));
+    EXPECT_TRUE(writer.enabled(TraceCategory::Dram));
+    EXPECT_TRUE(writer.enabled(TraceCategory::Barrier));
+}
+
+TEST(TraceTest, LogsOnlyEnabledFlags)
+{
+    // reduce emits every category when asked for all of them.
+    const GpuConfig cfg = smallVtConfig();
+    EXPECT_EQ(categoriesIn(traceOf(cfg, "reduce",
+                                   telemetry::allTraceCategories)),
+              (std::set<std::string>{"issue", "mem", "vt", "cta", "dram",
+                                     "barrier"}));
+    EXPECT_EQ(categoriesIn(traceOf(cfg, "reduce",
+                                   traceBit(TraceCategory::Swap))),
+              std::set<std::string>{"vt"});
+    EXPECT_EQ(categoriesIn(traceOf(cfg, "reduce",
+                                   traceBit(TraceCategory::Issue) |
+                                       traceBit(TraceCategory::Barrier))),
+              (std::set<std::string>{"issue", "barrier"}));
+    EXPECT_EQ(categoriesIn(traceOf(cfg, "reduce", 0)),
+              std::set<std::string>{});
+}
+
+TEST(TraceTest, CombinedFlags)
+{
+    std::ostringstream os;
+    const telemetry::TraceJsonWriter writer(
+        os, traceBit(TraceCategory::Issue) | traceBit(TraceCategory::Mem));
+    EXPECT_TRUE(writer.enabled(TraceCategory::Issue));
+    EXPECT_TRUE(writer.enabled(TraceCategory::Mem));
+    EXPECT_FALSE(writer.enabled(TraceCategory::Dram));
+}
+
+TEST(TraceTest, ParseFlags)
+{
+    EXPECT_EQ(telemetry::parseTraceCategories("issue,swap"),
+              traceBit(TraceCategory::Issue) | traceBit(TraceCategory::Swap));
+    EXPECT_EQ(telemetry::parseTraceCategories("swap,cta,dram,barrier"),
+              telemetry::defaultTraceCategories);
+    EXPECT_EQ(telemetry::parseTraceCategories("all"),
+              telemetry::allTraceCategories);
+    EXPECT_EQ(telemetry::parseTraceCategories(""), 0u);
+    EXPECT_THROW(telemetry::parseTraceCategories("bogus"), FatalError);
+    EXPECT_THROW(telemetry::parseTraceCategories("swap,bogus"), FatalError);
+}
+
+TEST(TraceTest, SimulationEmitsSwapAndCtaEvents)
+{
+    GpuConfig cfg = smallConfig();
+    cfg.numSms = 1;
+    cfg.numMemPartitions = 1;
+    cfg.vtEnabled = true;
+    std::ostringstream os;
+    {
+        Gpu gpu(cfg);
+        gpu.enableTraceJson(os, traceBit(TraceCategory::Swap) |
+                                    traceBit(TraceCategory::Cta));
+        const Kernel k = test::mul3Add7Kernel();
+        const std::uint32_t n = 2048;
+        const Addr in = gpu.memory().alloc(n * 4);
+        const Addr out = gpu.memory().alloc(n * 4);
+        LaunchParams lp;
+        lp.cta = Dim3(64);
+        lp.grid = Dim3(n / 64);
+        lp.params = {std::uint32_t(in), std::uint32_t(out), n};
+        gpu.launch(k, lp);
+    }
+    const std::string trace = os.str();
+    EXPECT_NE(trace.find("\"name\":\"admit\",\"cat\":\"cta\""),
+              std::string::npos);
+    EXPECT_NE(trace.find("\"name\":\"finish\",\"cat\":\"cta\""),
+              std::string::npos);
+    EXPECT_NE(trace.find("\"name\":\"swapping-out\",\"cat\":\"vt\""),
+              std::string::npos);
+}
+
+TEST(TraceTest, IssueTraceShowsDisassembly)
+{
+    std::ostringstream os;
+    {
+        Gpu gpu(smallConfig());
+        gpu.enableTraceJson(os, traceBit(TraceCategory::Issue));
+        const Kernel k = test::storeConstKernel();
+        const Addr out = gpu.memory().alloc(64 * 4);
+        LaunchParams lp;
+        lp.cta = Dim3(64);
+        lp.grid = Dim3(1);
+        lp.params = {std::uint32_t(out), 64, 1};
+        gpu.launch(k, lp);
+    }
+    const std::string trace = os.str();
+    EXPECT_NE(trace.find("ldp r0, 0"), std::string::npos);
+    EXPECT_NE(trace.find("exit"), std::string::npos);
+    EXPECT_NE(trace.find("[32 lanes]"), std::string::npos);
+    EXPECT_NE(trace.find("\"cat\":\"issue\""), std::string::npos);
+}
+
+TEST(TraceTest, TracingDoesNotChangeTiming)
+{
+    for (const char *name : {"bfs", "reduce"}) {
+        const KernelStats plain = test::runOn(smallVtConfig(), name);
+        std::ostringstream os;
+        Gpu gpu(smallVtConfig());
+        gpu.enableTraceJson(os, telemetry::allTraceCategories);
+        const KernelStats traced = launchOn(gpu, name);
+        EXPECT_EQ(test::fieldsOf(plain), test::fieldsOf(traced)) << name;
     }
 }
 
