@@ -168,23 +168,24 @@ runAll(const std::vector<RunSpec> &specs, unsigned jobs)
 std::vector<RunResult>
 runAll(const std::vector<RunSpec> &specs, int argc, char **argv)
 {
-    unsigned jobs = 1;
     try {
         setTelemetryOptions(parseTelemetryArgs(argc, argv));
-        jobs = resolveJobs(argc, argv);
+        const unsigned jobs = resolveJobs(argc, argv);
+        const auto start = std::chrono::steady_clock::now();
+        auto results = runAll(specs, jobs);
+        const double batch_wall = std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start).count();
+        const TelemetryOptions &opts = telemetryOptions();
+        if (!opts.statsJsonPath.empty())
+            writeStatsJson(opts.statsJsonPath, specs, results,
+                           batch_wall);
+        return results;
     } catch (const FatalError &e) {
-        // A bad command line is a usage error, not a crash.
+        // A bad command line or a failed run is an error exit, not a
+        // crash: the figure binaries call this from main() directly.
         std::fprintf(stderr, "%s\n", e.what());
         std::exit(1);
     }
-    const auto start = std::chrono::steady_clock::now();
-    auto results = runAll(specs, jobs);
-    const double batch_wall = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
-    const TelemetryOptions &opts = telemetryOptions();
-    if (!opts.statsJsonPath.empty())
-        writeStatsJson(opts.statsJsonPath, specs, results, batch_wall);
-    return results;
 }
 
 void

@@ -68,8 +68,8 @@ std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
  * The figure-binary entry point: parse the telemetry switches
  * (--stats-json / --stats-interval / --trace-json, see bench_common.hh)
  * and --jobs/VTSIM_JOBS from @p argv, run every spec, and write the
- * stats JSON when requested. A malformed switch prints its FatalError
- * and exits with status 1.
+ * stats JSON when requested. A malformed switch, a failed run or an
+ * unwritable stats file prints its FatalError and exits with status 1.
  */
 std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
                               int argc, char **argv);

@@ -51,19 +51,6 @@ REQUIRED = {
     "cancel": ["job", "parent"],
     "drain": [],
     "service_stop": [],
-    # Daemon side of the distributed fabric: a queued or parked job
-    # removed by the coordinator for execution elsewhere.
-    "yank": ["job", "parent", "image", "ckpt_bytes"],
-    # Coordinator (vtsim-coord) lifecycle; its log shares the
-    # vtsim-evlog-v1 framing and the submit/admit/finish/fail kinds,
-    # with fabric-global job ids.
-    "coord_start": ["listen"],
-    "register": ["node", "addr", "workers"],
-    "node_lost": ["node", "requeued"],
-    "dispatch": ["job", "parent", "node", "local_job"],
-    "steal": ["job", "parent", "from", "to"],
-    "migrate": ["job", "parent", "from", "to", "bytes"],
-    "throttle": ["parent", "tenant", "reason", "retry_after_ms"],
 }
 
 # Job phase transitions driven by each kind, for --reconstruct.
@@ -151,11 +138,6 @@ def reconstruct(events, tolerance, errors):
         jobs.setdefault(job, []).append(event)
     reconstructed = 0
     for job, stream in sorted(jobs.items()):
-        if not any(e.get("event") in PHASE_ENTER for e in stream):
-            # A coordinator log's job chain (admit -> dispatch ->
-            # steal/migrate -> finish) carries the daemon-measured
-            # wall but no run slices of its own; nothing to cover.
-            continue
         running_ms = 0.0
         run_open = None
         wall_ms = None

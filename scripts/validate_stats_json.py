@@ -82,11 +82,8 @@ def main(argv):
     errors = []
     validate(document, schema, "$", errors)
     runs = document.get("runs")
-    fabric = document.get("fabric")
     if isinstance(runs, list):
-        if not runs and not isinstance(fabric, dict):
-            # A coordinator document legitimately has no runs of its
-            # own: per-run results live in the daemons' documents.
+        if not runs:
             errors.append("$.runs: batch contains no runs")
         for i, run in enumerate(runs):
             if isinstance(run, dict) and run.get("verified") is not True:
@@ -115,12 +112,6 @@ def main(argv):
         return 1
     summary = f"{stats_path}: valid {document['schema']}, " \
               f"{len(runs)} verified runs"
-    if isinstance(fabric, dict):
-        summary += (
-            f", fabric: {fabric['jobs']['completed']} completed / "
-            f"{fabric['steals']} steals / "
-            f"{fabric['migrations']} migrations"
-        )
     if isinstance(service, dict):
         summary += (
             f", service: {service['jobs']['submitted']} submitted / "

@@ -1,25 +1,17 @@
 #include "service/client.hh"
 
 #include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <random>
 #include <stdexcept>
-#include <thread>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "service/transport.hh"
+
 namespace vtsim::service {
 
 Client::Client(const std::string &socket_path)
-    : fd_(fabric::connectUnix(socket_path))
-{}
-
-Client::Client(const fabric::HostPort &addr, std::string token,
-               int connect_timeout_ms, int io_timeout_ms)
-    : fd_(fabric::connectTcp(addr, connect_timeout_ms, io_timeout_ms)),
-      token_(std::move(token))
+    : fd_(connectUnix(socket_path))
 {}
 
 Client::~Client()
@@ -31,15 +23,7 @@ Client::~Client()
 Json
 Client::request(const Json &request)
 {
-    std::string line;
-    if (!token_.empty() && request.isObject()) {
-        Json::Object o = request.asObject();
-        o["token"] = Json(token_);
-        line = Json(std::move(o)).dump();
-    } else {
-        line = request.dump();
-    }
-    const std::string reply = requestRaw(line);
+    const std::string reply = requestRaw(request.dump());
     if (reply.empty())
         throw std::runtime_error("vtsimd closed the connection");
     return Json::parse(reply);
@@ -48,7 +32,7 @@ Client::request(const Json &request)
 std::string
 Client::requestRaw(const std::string &line)
 {
-    if (!fabric::sendLine(fd_, line))
+    if (!sendLine(fd_, line))
         throw std::runtime_error("send to vtsimd failed");
     return readLine();
 }
@@ -76,38 +60,9 @@ Client::readLine()
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR)
             continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            throw fabric::TransportError("reply read timed out");
         if (n <= 0)
             return std::string(); // Daemon hung up.
         buffer_.append(chunk, std::size_t(n));
-    }
-}
-
-std::unique_ptr<Client>
-connectTcpWithRetry(const fabric::HostPort &addr,
-                    const std::string &token,
-                    const RetryPolicy &policy, int connect_timeout_ms,
-                    int io_timeout_ms)
-{
-    std::mt19937 rng{std::random_device{}()};
-    int delay = policy.baseDelayMs;
-    for (int attempt = 1;; ++attempt) {
-        try {
-            return std::make_unique<Client>(addr, token,
-                                            connect_timeout_ms,
-                                            io_timeout_ms);
-        } catch (const fabric::TransportError &) {
-            if (attempt >= policy.attempts)
-                throw;
-        }
-        // Full jitter on a doubling, capped delay: concurrent clients
-        // hitting a restarting daemon spread out instead of stampeding
-        // it in lockstep.
-        std::uniform_int_distribution<int> jitter(delay / 2, delay);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(jitter(rng)));
-        delay = std::min(delay * 2, policy.maxDelayMs);
     }
 }
 

@@ -1,24 +1,16 @@
 /**
  * @file
- * Minimal vtsimd/vtsim-coord client: connect over the daemon's
- * Unix-domain socket or a fabric TCP endpoint, send one NDJSON request
- * line, read one reply line. Shared by the vtsim-submit / vtsim-top
- * tools, the coordinator (which dials daemons back) and the service
- * tests (which also use requestRaw to deliver deliberately malformed
- * lines).
- *
- * When constructed with a bearer token, request() stamps it into every
- * request object as "token" — the fabric servers authenticate each
- * line, not the connection.
+ * Minimal vtsimd client: connect over the daemon's Unix-domain socket,
+ * send one NDJSON request line, read one reply line. Shared by the
+ * vtsim-submit / vtsim-top tools and the service tests (which also use
+ * requestRaw to deliver deliberately malformed lines).
  */
 
 #ifndef VTSIM_SERVICE_CLIENT_HH
 #define VTSIM_SERVICE_CLIENT_HH
 
-#include <memory>
 #include <string>
 
-#include "fabric/transport.hh"
 #include "service/json.hh"
 
 namespace vtsim::service {
@@ -30,22 +22,12 @@ class Client
      *  std::runtime_error when nothing is listening. */
     explicit Client(const std::string &socket_path);
 
-    /**
-     * Connect to a fabric TCP endpoint. @p io_timeout_ms bounds every
-     * read/write on the connection (0 = unbounded — required for
-     * "wait" requests, which legitimately block for a job's runtime).
-     * Throws fabric::TransportError.
-     */
-    Client(const fabric::HostPort &addr, std::string token,
-           int connect_timeout_ms = 5000, int io_timeout_ms = 0);
-
     ~Client();
 
     Client(const Client &) = delete;
     Client &operator=(const Client &) = delete;
 
-    /** Send @p request as one line (token stamped in when configured);
-     *  parse the one-line reply. */
+    /** Send @p request as one line; parse the one-line reply. */
     Json request(const Json &request);
 
     /**
@@ -63,30 +45,8 @@ class Client
     std::string readLine();
 
     int fd_ = -1;
-    std::string token_;
     std::string buffer_;
 };
-
-/** Backoff schedule for connectTcpWithRetry. */
-struct RetryPolicy
-{
-    int attempts = 8;
-    int baseDelayMs = 50;
-    int maxDelayMs = 2000;
-};
-
-/**
- * Connect like Client's TCP constructor, but retry connection-refused/
- * reset/timeout with capped exponential backoff plus jitter — the
- * daemon-restart window must not fail a batch on its first connect().
- * Throws fabric::TransportError once the attempts are exhausted.
- */
-std::unique_ptr<Client>
-connectTcpWithRetry(const fabric::HostPort &addr,
-                    const std::string &token,
-                    const RetryPolicy &policy = {},
-                    int connect_timeout_ms = 5000,
-                    int io_timeout_ms = 0);
 
 } // namespace vtsim::service
 

@@ -1,16 +1,11 @@
 #include "service/daemon.hh"
 
-#include <filesystem>
-#include <fstream>
-
-#include "fabric/transport.hh"
 #include "service/protocol.hh"
+#include "service/transport.hh"
 
 namespace vtsim::service {
 
 namespace {
-
-using fabric::sendLine;
 
 std::string
 okReply(Json::Object fields)
@@ -22,19 +17,11 @@ okReply(Json::Object fields)
 } // namespace
 
 Daemon::Daemon(JobService &service, std::string socket_path)
-    : Daemon(service, DaemonConfig{std::move(socket_path), {}, false, {}})
-{}
-
-Daemon::Daemon(JobService &service, DaemonConfig config)
     : service_(service),
-      server_(
-          fabric::LineServerConfig{std::move(config.socketPath),
-                                   config.tcp, config.tcpEnabled,
-                                   std::move(config.authToken),
-                                   "vtsimd"},
-          [this](int fd, const std::string &line) {
-              return handleLine(fd, line);
-          })
+      server_(std::move(socket_path),
+              [this](int fd, const std::string &line) {
+                  return handleLine(fd, line);
+              })
 {
     server_.setErrorHook([this](const std::string &error) {
         if (EventLog *log = service_.eventLog())
@@ -46,14 +33,8 @@ void
 Daemon::start()
 {
     server_.start();
-    if (EventLog *log = service_.eventLog()) {
-        Json::Object fields;
-        if (!server_.unixPath().empty())
-            fields["socket"] = Json(server_.unixPath());
-        if (server_.boundTcpPort() != 0)
-            fields["tcp_port"] = Json(unsigned(server_.boundTcpPort()));
-        log->emit("listening", std::move(fields));
-    }
+    if (EventLog *log = service_.eventLog())
+        log->emit("listening", {{"socket", Json(server_.socketPath())}});
 }
 
 void
@@ -104,20 +85,6 @@ Daemon::handleLine(int fd, const std::string &line)
             }
             return sendLine(fd, Json(std::move(o)).dump());
           }
-          case Request::Op::Yank:
-            return handleYank(fd, req);
-          case Request::Op::CkptRead:
-            return handleCkptRead(fd, req);
-          case Request::Op::CkptBegin:
-            return handleCkptBegin(fd);
-          case Request::Op::CkptChunk:
-            return handleCkptChunk(fd, req);
-          case Request::Op::Release: {
-            std::string error;
-            if (!service_.releaseImage(req.job, error))
-                return sendLine(fd, errorReply(error));
-            return sendLine(fd, okReply({{"job", Json(req.job)}}));
-          }
           case Request::Op::Ping:
             return sendLine(fd, okReply({{"op", Json("ping")}}));
           case Request::Op::Metrics: {
@@ -140,21 +107,8 @@ Daemon::handleLine(int fd, const std::string &line)
 }
 
 bool
-Daemon::handleSubmit(int fd, Request &req)
+Daemon::handleSubmit(int fd, const Request &req)
 {
-    if (req.resumeXfer != 0) {
-        // Resolve the staged transfer into a spool-file path; the
-        // transfer id is one-shot.
-        std::lock_guard<std::mutex> lk(xferMu_);
-        const auto it = xfers_.find(req.resumeXfer);
-        if (it == xfers_.end()) {
-            return sendLine(
-                fd, errorReply("unknown resume_xfer " +
-                               std::to_string(req.resumeXfer)));
-        }
-        req.spec.resumeFrom = it->second.path;
-        xfers_.erase(it);
-    }
     const auto outcome = service_.submit(req.spec, req.priority);
     Json::Object o;
     if (outcome.ok()) {
@@ -168,95 +122,6 @@ Daemon::handleSubmit(int fd, Request &req)
             o["error"] = Json(outcome.error);
     }
     return sendLine(fd, Json(std::move(o)).dump());
-}
-
-bool
-Daemon::handleYank(int fd, const Request &req)
-{
-    const auto outcome = service_.yank(req.job);
-    if (!outcome.ok)
-        return sendLine(fd, errorReply(outcome.error));
-    return sendLine(
-        fd, okReply({{"job", Json(req.job)},
-                     {"image", Json(outcome.hasImage)},
-                     {"ckpt_bytes", Json(outcome.imageBytes)}}));
-}
-
-bool
-Daemon::handleCkptRead(int fd, const Request &req)
-{
-    std::vector<std::uint8_t> chunk;
-    std::uint64_t total = 0;
-    std::string error;
-    if (!service_.readImageChunk(req.job, req.offset, req.len, chunk,
-                                 total, error))
-        return sendLine(fd, errorReply(error));
-    return sendLine(
-        fd, okReply({{"data", Json(fabric::base64Encode(chunk))},
-                     {"bytes", Json(std::uint64_t(chunk.size()))},
-                     {"total", Json(total)}}));
-}
-
-bool
-Daemon::handleCkptBegin(int fd)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(service_.config().spoolDir, ec);
-    std::uint64_t id;
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lk(xferMu_);
-        id = nextXfer_++;
-        path = service_.config().spoolDir + "/xfer-" +
-               std::to_string(id) + ".ckpt";
-        xfers_.emplace(id, Xfer{path, 0});
-    }
-    // Truncate-create now so a zero-chunk transfer still resolves to a
-    // real (empty, hence rejected at submit) file.
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        std::lock_guard<std::mutex> lk(xferMu_);
-        xfers_.erase(id);
-        return sendLine(fd, errorReply("cannot open staging file '" +
-                                       path + "'"));
-    }
-    return sendLine(fd, okReply({{"xfer", Json(id)}}));
-}
-
-bool
-Daemon::handleCkptChunk(int fd, const Request &req)
-{
-    std::vector<std::uint8_t> data;
-    try {
-        data = fabric::base64Decode(req.data);
-    } catch (const std::exception &e) {
-        return sendLine(fd, errorReply(e.what()));
-    }
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lk(xferMu_);
-        const auto it = xfers_.find(req.xfer);
-        if (it == xfers_.end()) {
-            return sendLine(fd,
-                            errorReply("unknown xfer " +
-                                       std::to_string(req.xfer)));
-        }
-        path = it->second.path;
-        it->second.bytes += data.size();
-    }
-    std::ofstream os(path, std::ios::binary | std::ios::app);
-    if (!data.empty())
-        os.write(reinterpret_cast<const char *>(data.data()),
-                 std::streamsize(data.size()));
-    if (!os.flush()) {
-        return sendLine(fd, errorReply("short write to staging file '" +
-                                       path + "'"));
-    }
-    std::lock_guard<std::mutex> lk(xferMu_);
-    const auto it = xfers_.find(req.xfer);
-    const std::uint64_t bytes =
-        it != xfers_.end() ? it->second.bytes : 0;
-    return sendLine(fd, okReply({{"bytes", Json(bytes)}}));
 }
 
 } // namespace vtsim::service

@@ -1,12 +1,11 @@
 /**
  * @file
  * The vtsimd network front end: an NDJSON request server in front of a
- * JobService (see src/service/protocol.hh for the wire format), built
- * on the fabric transport (src/fabric/line_server.hh) so the same
- * daemon serves its classic Unix-domain socket and — when joined to a
- * coordinator fleet — a TCP listener with bearer-token auth. One
- * accept loop, one thread per connection; a connection carries any
- * number of request lines, each answered with exactly one reply line.
+ * JobService (see src/service/protocol.hh for the wire format), served
+ * on a Unix-domain socket by service/line_server.hh. One accept loop,
+ * one thread per connection; a connection carries any number of
+ * request lines, each answered with exactly one reply line. Access
+ * control is the socket file's permissions.
  *
  * Robustness contract: nothing a client sends may take the daemon
  * down. Malformed JSON, unknown ops, oversized request lines and
@@ -15,55 +14,30 @@
  * "shutdown" op is the only way a client stops the daemon, and it
  * drains: serve() returns so the caller can JobService::shutdown() and
  * write the service stats JSON.
- *
- * On top of the classic ops the daemon implements the coordinator's
- * steal/migrate half of the protocol: yank, ckpt_read, release on the
- * outgoing side; ckpt_begin, ckpt_chunk and submit with resume_xfer on
- * the incoming side (staged images land in the spool directory).
  */
 
 #ifndef VTSIM_SERVICE_DAEMON_HH
 #define VTSIM_SERVICE_DAEMON_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 
-#include "fabric/line_server.hh"
+#include "service/line_server.hh"
 #include "service/protocol.hh"
 #include "service/service.hh"
 
 namespace vtsim::service {
 
-struct DaemonConfig
-{
-    /** Unix-domain socket path; empty disables that listener. */
-    std::string socketPath;
-    /** TCP listener (vtsimd --listen-tcp); port 0 = ephemeral. */
-    fabric::HostPort tcp;
-    bool tcpEnabled = false;
-    /** Bearer token required on every request line when non-empty. */
-    std::string authToken;
-};
-
 class Daemon
 {
   public:
-    /** Longest accepted request line (see fabric::LineServer). */
-    static constexpr std::size_t kMaxLineBytes =
-        fabric::LineServer::kMaxLineBytes;
+    /** Longest accepted request line (see LineServer). */
+    static constexpr std::size_t kMaxLineBytes = LineServer::kMaxLineBytes;
 
-    /** Classic single-listener daemon on @p socket_path. */
+    /** A daemon for @p service listening on @p socket_path. */
     Daemon(JobService &service, std::string socket_path);
 
-    Daemon(JobService &service, DaemonConfig config);
-
-    /**
-     * Bind and listen on every configured endpoint. Throws
-     * std::runtime_error (fabric::TransportError) on failure.
-     */
+    /** Bind and listen. Throws TransportError on failure. */
     void start();
 
     /**
@@ -77,32 +51,13 @@ class Daemon
      *  connection threads. */
     void requestStop();
 
-    const std::string &socketPath() const { return server_.unixPath(); }
-
-    /** After start(): the TCP port actually bound (0 without TCP). */
-    std::uint16_t boundTcpPort() const { return server_.boundTcpPort(); }
-
   private:
     /** Handle one request line; false closes the connection. */
     bool handleLine(int fd, const std::string &line);
-    bool handleSubmit(int fd, Request &req);
-    bool handleYank(int fd, const Request &req);
-    bool handleCkptRead(int fd, const Request &req);
-    bool handleCkptBegin(int fd);
-    bool handleCkptChunk(int fd, const Request &req);
+    bool handleSubmit(int fd, const Request &req);
 
     JobService &service_;
-    fabric::LineServer server_;
-
-    /** Staged incoming checkpoint transfers (ckpt_begin/ckpt_chunk). */
-    struct Xfer
-    {
-        std::string path;
-        std::uint64_t bytes = 0;
-    };
-    std::mutex xferMu_;
-    std::map<std::uint64_t, Xfer> xfers_;
-    std::uint64_t nextXfer_ = 1;
+    LineServer server_;
 };
 
 } // namespace vtsim::service

@@ -25,9 +25,9 @@
  *   parent  seq of this job's previous event (0 for its first), so a
  *           job's full history is a filterable linked chain
  *
- * Event kinds and their extra fields (service.cc and the fabric
- * coordinator are the writers; scripts/validate_evlog.py mirrors this
- * table check for check):
+ * Event kinds and their extra fields (service.cc and daemon.cc are the
+ * writers; scripts/validate_evlog.py mirrors this table check for
+ * check):
  *
  *   log_open       pid
  *   service_start  workers, queue_limit, preempt_every
@@ -46,20 +46,8 @@
  *   finish         job, cycles, wall_ms, verified
  *   fail           job, reason
  *   cancel         job
- *   yank           job, image, ckpt_bytes  (coordinator stole the job)
  *   drain          (shutdown began)
  *   service_stop   (all workers joined)
- *
- * Coordinator-scoped kinds (written by fabric/coordinator.cc into its
- * own log; job ids there are fabric-global):
- *
- *   coord_start    listen
- *   register       node, addr, workers
- *   node_lost      node, requeued
- *   dispatch       job, node, local_job
- *   steal          job, from, to
- *   migrate        job, from, to, bytes
- *   throttle       tenant, reason, retry_after_ms
  */
 
 #ifndef VTSIM_SERVICE_EVENT_LOG_HH

@@ -78,16 +78,6 @@ struct JobSpec
     std::vector<std::string> kernels;
     /** CTA-slot sharing policy of a multi-kernel job (`share_policy`). */
     SharePolicy sharePolicy = SharePolicy::VtFill;
-    /**
-     * Path of a vtsim-ckpt-v1 image this job resumes from at its first
-     * start (empty = run from scratch). This is how a migrated job
-     * lands: the coordinator stages the image shipped from the source
-     * daemon into the spool directory and submits with this set. The
-     * byte-portable image format makes the resumed run bit-identical
-     * to finishing on the source daemon. Does not compose with
-     * recordTrace (a restore point is mid-run; recording is not).
-     */
-    std::string resumeFrom;
 
     /** The resolved grid list: kernels, or {workload} when empty. */
     std::vector<std::string>
@@ -105,14 +95,7 @@ enum class JobState : std::uint8_t
     Parked,   ///< Preempted; state on disk, waiting to resume.
     Done,      ///< Completed with verified results.
     Failed,    ///< Exhausted its retry; see failureReason.
-    Cancelled, ///< Removed from the queue before running to completion.
-    /**
-     * Yanked by the coordinator for execution on another daemon (work
-     * steal or checkpoint migration). Terminal *here*: this daemon is
-     * done with the job; its checkpoint image (when parked) stays on
-     * disk until the coordinator has shipped it and sends "release".
-     */
-    Migrated
+    Cancelled  ///< Removed from the queue before running to completion.
 };
 
 std::string toString(JobState s);
@@ -147,8 +130,7 @@ struct JobSnapshot
     terminal() const
     {
         return state == JobState::Done || state == JobState::Failed ||
-               state == JobState::Cancelled ||
-               state == JobState::Migrated;
+               state == JobState::Cancelled;
     }
 };
 

@@ -55,7 +55,6 @@ toString(JobState s)
       case JobState::Done: return "done";
       case JobState::Failed: return "failed";
       case JobState::Cancelled: return "cancelled";
-      case JobState::Migrated: return "migrated";
     }
     return "?";
 }
@@ -205,59 +204,15 @@ parseRequest(const std::string &line)
                     "record_trace must be a non-empty string path");
             req.spec.recordTrace = trace->asString();
         }
-        if (const Json *xfer = doc.find("resume_xfer")) {
-            req.resumeXfer = requireUnsigned(
-                *xfer, "resume_xfer",
-                std::numeric_limits<std::int64_t>::max());
-            if (req.resumeXfer == 0)
-                throw ProtocolError("resume_xfer must be a staged "
-                                    "transfer id");
-        }
-    } else if (name == "wait" || name == "query" || name == "cancel" ||
-               name == "yank" || name == "release") {
+    } else if (name == "wait" || name == "query" || name == "cancel") {
         req.op = name == "wait"    ? Request::Op::Wait
                  : name == "query" ? Request::Op::Query
-                 : name == "cancel" ? Request::Op::Cancel
-                 : name == "yank"   ? Request::Op::Yank
-                                    : Request::Op::Release;
+                                   : Request::Op::Cancel;
         const Json *job = doc.find("job");
         if (!job)
             throw ProtocolError(name + " needs a \"job\" id");
         req.job = requireUnsigned(
             *job, "job", std::numeric_limits<std::int64_t>::max());
-    } else if (name == "ckpt_read") {
-        req.op = Request::Op::CkptRead;
-        const Json *job = doc.find("job");
-        if (!job)
-            throw ProtocolError("ckpt_read needs a \"job\" id");
-        req.job = requireUnsigned(
-            *job, "job", std::numeric_limits<std::int64_t>::max());
-        if (const Json *offset = doc.find("offset")) {
-            req.offset = requireUnsigned(
-                *offset, "offset",
-                std::numeric_limits<std::int64_t>::max());
-        }
-        const Json *len = doc.find("len");
-        if (!len)
-            throw ProtocolError("ckpt_read needs a \"len\"");
-        // Bounded so one request cannot ask the daemon to base64 an
-        // arbitrarily large reply in one piece.
-        req.len = requireUnsigned(*len, "len", 1u << 20);
-        if (req.len == 0)
-            throw ProtocolError("len must be positive");
-    } else if (name == "ckpt_begin") {
-        req.op = Request::Op::CkptBegin;
-    } else if (name == "ckpt_chunk") {
-        req.op = Request::Op::CkptChunk;
-        const Json *xfer = doc.find("xfer");
-        if (!xfer)
-            throw ProtocolError("ckpt_chunk needs an \"xfer\" id");
-        req.xfer = requireUnsigned(
-            *xfer, "xfer", std::numeric_limits<std::int64_t>::max());
-        const Json *data = doc.find("data");
-        if (!data || !data->isString())
-            throw ProtocolError("ckpt_chunk needs base64 \"data\"");
-        req.data = data->asString();
     } else if (name == "status") {
         req.op = Request::Op::Status;
     } else if (name == "ping") {

@@ -3,7 +3,9 @@
  * The vtsimd wire protocol: newline-delimited JSON over a Unix-domain
  * socket. Each request is one JSON object on one line; each reply is
  * one JSON object on one line. Requests larger than the daemon's line
- * cap are rejected without parsing.
+ * cap are rejected without parsing, and an op not listed below draws
+ * an "unknown op" error. Access control is the socket file's
+ * permissions.
  *
  * Ops:
  *   {"op":"submit","workload":W,...}   -> {"ok":true,"job":N} |
@@ -15,27 +17,6 @@
  *   {"op":"ping"}                      -> {"ok":true,"op":"ping"}
  *   {"op":"metrics"}                   -> {"ok":true,"body":<Prometheus text>}
  *   {"op":"shutdown"}                  -> {"ok":true,"state":"draining"}
- *
- * Fabric ops (the coordinator's steal/migrate half of the protocol;
- * docs/ARCHITECTURE.md "Distributed fabric"):
- *   {"op":"yank","job":N}              -> {"ok":true,"job":N,
- *                                          "image":bool,"ckpt_bytes":B}
- *       Remove a queued/parked job from this daemon for execution
- *       elsewhere (terminal state "migrated" here). Fails on running
- *       or terminal jobs — a steal that lost the race is a no-op.
- *   {"op":"ckpt_read","job":N,"offset":O,"len":L}
- *                                      -> {"ok":true,"data":<base64>,
- *                                          "bytes":B,"total":T}
- *       Read a chunk of a yanked job's parked checkpoint image.
- *   {"op":"release","job":N}           -> {"ok":true}
- *       Drop a yanked job's image once the transfer is complete.
- *   {"op":"ckpt_begin"}                -> {"ok":true,"xfer":K}
- *   {"op":"ckpt_chunk","xfer":K,"data":<base64>}
- *                                      -> {"ok":true,"bytes":<total>}
- *       Stage an incoming image chunk by chunk (chunks must fit the
- *       64 KiB request-line cap; replies are uncapped).
- *   submit may carry "resume_xfer":K   -> the job starts from the
- *       staged image instead of from scratch (bit-identical resume).
  *
  * Submit fields: workload (required), scale, priority
  * ("low"|"normal"|"high"), config (object of GpuConfig overrides — see
@@ -68,21 +49,13 @@ struct Request
 {
     enum class Op
     {
-        Submit, Wait, Query, Status, Cancel, Ping, Metrics, Shutdown,
-        // Fabric ops (steal/migrate; see the file comment).
-        Yank, CkptRead, CkptBegin, CkptChunk, Release
+        Submit, Wait, Query, Status, Cancel, Ping, Metrics, Shutdown
     };
 
     Op op = Op::Ping;
     JobSpec spec;                          ///< Submit only.
     Priority priority = Priority::Normal;  ///< Submit only.
-    JobId job = 0;       ///< Wait/Query/Cancel/Yank/CkptRead/Release.
-    /** Submit: staged-transfer id to resume from (0 = none). */
-    std::uint64_t resumeXfer = 0;
-    std::uint64_t offset = 0;              ///< CkptRead only.
-    std::uint64_t len = 0;                 ///< CkptRead only.
-    std::uint64_t xfer = 0;                ///< CkptChunk only.
-    std::string data;                      ///< CkptChunk only (base64).
+    JobId job = 0;                         ///< Wait/Query/Cancel.
 };
 
 /** Parse one request line. Throws JsonError or ProtocolError. */

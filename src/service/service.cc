@@ -20,7 +20,7 @@ bool
 terminalState(JobState s)
 {
     return s == JobState::Done || s == JobState::Failed ||
-           s == JobState::Cancelled || s == JobState::Migrated;
+           s == JobState::Cancelled;
 }
 
 /** Best-effort removal of a job's parked image. */
@@ -88,12 +88,6 @@ JobService::JobService(ServiceConfig config)
     statsGroup_.addCounter("retries", &retries_,
                            "failed attempts retried from a checkpoint "
                            "or from scratch");
-    statsGroup_.addCounter("jobs_migrated_out", &migratedOut_,
-                           "jobs yanked for execution on another "
-                           "daemon");
-    statsGroup_.addCounter("jobs_migrated_in", &migratedIn_,
-                           "jobs admitted with a shipped checkpoint "
-                           "image to resume from");
     statsGroup_.addValue("queue_depth", &queueDepth_,
                          "jobs waiting for a worker right now");
     statsGroup_.addValue("max_queue_depth", &maxQueueDepth_,
@@ -250,25 +244,6 @@ JobService::submit(const JobSpec &spec, Priority priority)
         reject(out.error);
         return out;
     }
-    if (!spec.resumeFrom.empty()) {
-        if (!spec.recordTrace.empty()) {
-            // A restore point is mid-run; a trace recording is not.
-            out.error = "resume_xfer does not compose with "
-                        "record_trace";
-            reject(out.error);
-            return out;
-        }
-        std::error_code ec;
-        const auto size =
-            std::filesystem::file_size(spec.resumeFrom, ec);
-        if (ec || size == 0) {
-            out.error = "resume image '" + spec.resumeFrom +
-                        "' is missing or empty";
-            reject(out.error);
-            return out;
-        }
-    }
-
     std::lock_guard<std::mutex> lk(mu_);
     if (shuttingDown_) {
         out.rejected = "shutting_down";
@@ -295,18 +270,10 @@ JobService::submit(const JobSpec &spec, Priority priority)
     JobRecord &job = *record;
     jobs_.emplace(out.id, std::move(record));
     job.lastEventSeq = submit_seq;
-    Json::Object admit_fields{
-        {"workload", Json(job.spec.workload)},
-        {"scale", Json(job.spec.scale)},
-        {"priority", Json(toString(job.priority))}};
-    if (!job.spec.resumeFrom.empty()) {
-        // Migration landing: the first run slice restores this image
-        // instead of starting from scratch.
-        job.checkpointFile = job.spec.resumeFrom;
-        ++migratedIn_;
-        admit_fields["migrated_in"] = Json(true);
-    }
-    eventLocked(job, "admit", std::move(admit_fields));
+    eventLocked(job, "admit",
+                {{"workload", Json(job.spec.workload)},
+                 {"scale", Json(job.spec.scale)},
+                 {"priority", Json(toString(job.priority))}});
     traceJobThread(job);
     traceJobInstant(job.id, "submit");
     traceJobBegin(job.id, "queued");
@@ -682,13 +649,7 @@ JobService::parkImage(JobRecord &job, Gpu &gpu, unsigned worker)
         throw std::runtime_error("short write to spool file '" + path +
                                  "'");
     // Only the owning worker touches checkpointFile while the job runs
-    // (cancel refuses running jobs), so no lock is needed here. A
-    // migrated-in job's staged xfer image is superseded by the first
-    // park — drop it rather than leak it in the spool dir.
-    if (!job.checkpointFile.empty() && job.checkpointFile != path) {
-        std::error_code drop_ec;
-        std::filesystem::remove(job.checkpointFile, drop_ec);
-    }
+    // (cancel refuses running jobs), so no lock is needed here.
     job.checkpointFile = path;
     const double write_seconds = secondsSince(t0);
     std::lock_guard<std::mutex> lk(mu_);
@@ -754,136 +715,6 @@ JobService::cancel(JobId id, std::string &error)
     noteQueueDepthLocked();
     doneCv_.notify_all();
     return true;
-}
-
-JobService::YankOutcome
-JobService::yank(JobId id)
-{
-    YankOutcome out;
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        out.error = "unknown job " + std::to_string(id);
-        return out;
-    }
-    JobRecord &job = *it->second;
-    if (job.state == JobState::Running) {
-        out.error = "job is running; only queued or parked jobs yank";
-        return out;
-    }
-    if (terminalState(job.state)) {
-        out.error = "job already " + toString(job.state);
-        return out;
-    }
-    if (!queue_.remove(&job)) {
-        out.error = "job is not waiting"; // Unreachable by construction.
-        return out;
-    }
-    if (job.state == JobState::Parked)
-        --parkedJobs_;
-    // Unlike cancel, the parked image survives: the coordinator reads
-    // it out chunk by chunk and then sends "release".
-    if (!job.checkpointFile.empty()) {
-        std::error_code ec;
-        const auto size =
-            std::filesystem::file_size(job.checkpointFile, ec);
-        if (!ec) {
-            out.hasImage = true;
-            out.imageBytes = size;
-        }
-    }
-    job.state = JobState::Migrated;
-    ++migratedOut_;
-    out.ok = true;
-    eventLocked(job, "yank",
-                {{"image", Json(out.hasImage)},
-                 {"ckpt_bytes", Json(out.imageBytes)}});
-    traceJobEnd(job.id); // Close the queued/parked span.
-    traceJobInstant(job.id, "yank");
-    noteQueueDepthLocked();
-    doneCv_.notify_all();
-    return out;
-}
-
-bool
-JobService::readImageChunk(JobId id, std::uint64_t offset,
-                           std::uint64_t len,
-                           std::vector<std::uint8_t> &out,
-                           std::uint64_t &total, std::string &error)
-{
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end()) {
-            error = "unknown job " + std::to_string(id);
-            return false;
-        }
-        const JobRecord &job = *it->second;
-        if (job.state != JobState::Migrated) {
-            error = "job is " + toString(job.state) +
-                    "; only migrated jobs expose their image";
-            return false;
-        }
-        if (job.checkpointFile.empty()) {
-            error = "job has no parked image";
-            return false;
-        }
-        path = job.checkpointFile;
-    }
-    // File I/O outside the lock: images may be large and the file is
-    // stable once the job is Migrated.
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        error = "cannot open parked checkpoint '" + path + "'";
-        return false;
-    }
-    is.seekg(0, std::ios::end);
-    total = std::uint64_t(is.tellg());
-    out.clear();
-    if (offset >= total)
-        return true; // Past EOF: empty chunk, transfer complete.
-    const std::uint64_t take = std::min(len, total - offset);
-    out.resize(take);
-    is.seekg(std::streamoff(offset));
-    is.read(reinterpret_cast<char *>(out.data()),
-            std::streamsize(take));
-    if (!is) {
-        error = "short read from '" + path + "'";
-        return false;
-    }
-    return true;
-}
-
-bool
-JobService::releaseImage(JobId id, std::string &error)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        error = "unknown job " + std::to_string(id);
-        return false;
-    }
-    JobRecord &job = *it->second;
-    if (job.state != JobState::Migrated) {
-        error = "job is " + toString(job.state) +
-                "; only migrated jobs release";
-        return false;
-    }
-    dropSpoolFile(job);
-    return true;
-}
-
-JobService::Counts
-JobService::counts() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    Counts c;
-    c.queueDepth = queueDepth_;
-    c.running = runningJobs_;
-    c.parked = parkedJobs_;
-    c.workers = config_.workers;
-    return c;
 }
 
 JobSnapshot
@@ -1020,8 +851,6 @@ JobService::status() const
     counts["rejected_queue_full"] = Json(rejectedFull_.value());
     counts["running"] = Json(runningJobs_);
     counts["parked"] = Json(parkedJobs_);
-    counts["migrated_out"] = Json(migratedOut_.value());
-    counts["migrated_in"] = Json(migratedIn_.value());
 
     Json::Object wait;
     wait["count"] = Json(waitSeconds_.count());

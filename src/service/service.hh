@@ -159,48 +159,6 @@ class JobService
      *  the job is unknown, running, or already terminal. */
     bool cancel(JobId id, std::string &error);
 
-    struct YankOutcome
-    {
-        bool ok = false;
-        /** True when the job left a parked checkpoint image behind. */
-        bool hasImage = false;
-        std::uint64_t imageBytes = 0;
-        std::string error;
-    };
-
-    /**
-     * Remove a queued or parked job for execution on another daemon
-     * (coordinator work steal / migration). The job goes terminal here
-     * as Migrated; a parked image stays on disk for ckpt_read until
-     * releaseImage(). Fails like cancel on running/terminal jobs — a
-     * steal that lost the race to a worker is a clean no-op.
-     */
-    YankOutcome yank(JobId id);
-
-    /**
-     * Read @p len bytes at @p offset of a migrated job's parked image
-     * into @p out (short reads at EOF; @p total reports the image
-     * size). False with @p error on unknown/imageless jobs.
-     */
-    bool readImageChunk(JobId id, std::uint64_t offset,
-                        std::uint64_t len,
-                        std::vector<std::uint8_t> &out,
-                        std::uint64_t &total, std::string &error);
-
-    /** Drop a migrated job's parked image (transfer complete). */
-    bool releaseImage(JobId id, std::string &error);
-
-    /** Cheap load snapshot for coordinator heartbeats — no job list,
-     *  one lock hop. */
-    struct Counts
-    {
-        std::uint64_t queueDepth = 0;
-        std::uint64_t running = 0;
-        std::uint64_t parked = 0;
-        unsigned workers = 0;
-    };
-    Counts counts() const;
-
     /** Service telemetry snapshot (the status reply body). */
     Json status() const;
 
@@ -292,8 +250,6 @@ class JobService
     Counter cancelled_;
     Counter preemptions_;
     Counter retries_;
-    Counter migratedOut_;   ///< Jobs yanked to another daemon.
-    Counter migratedIn_;    ///< Jobs admitted with a resume image.
     std::uint64_t queueDepth_ = 0;     ///< Gauge.
     std::uint64_t runningJobs_ = 0;    ///< Gauge.
     std::uint64_t parkedJobs_ = 0;     ///< Gauge.

@@ -70,8 +70,7 @@ jsonDouble(double v)
 
 void
 writeStatsJson(std::ostream &os, const std::vector<RunRecord> &runs,
-               const Json *service, const BatchMeta &meta,
-               const Json *fabric)
+               const Json *service, const BatchMeta &meta)
 {
     const std::string host =
         meta.host.empty() ? currentHost() : meta.host;
@@ -84,8 +83,6 @@ writeStatsJson(std::ostream &os, const std::vector<RunRecord> &runs,
        << "  \"mips\": " << jsonDouble(meta.mips) << ",\n";
     if (service)
         os << "  \"service\": " << service->dump() << ",\n";
-    if (fabric)
-        os << "  \"fabric\": " << fabric->dump() << ",\n";
     os << "  \"runs\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const RunRecord &r = runs[i];

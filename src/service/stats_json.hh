@@ -84,14 +84,11 @@ struct BatchMeta
 /**
  * Write the whole document: schema tag, the batch header (@p meta),
  * the optional @p service section (pass nullptr for plain batch
- * output), the optional @p fabric section (the coordinator's fleet
- * telemetry; vtsim-coord --stats-json), then one entry per run in
- * order.
+ * output), then one entry per run in order.
  */
 void writeStatsJson(std::ostream &os,
                     const std::vector<RunRecord> &runs,
-                    const Json *service, const BatchMeta &meta,
-                    const Json *fabric = nullptr);
+                    const Json *service, const BatchMeta &meta);
 
 } // namespace vtsim::service
 

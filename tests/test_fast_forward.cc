@@ -212,5 +212,18 @@ TEST(ParallelRunner, ResolveJobsPrecedence)
                  FatalError);
 }
 
+TEST(ParallelRunner, FailedRunExitsWithStatusOne)
+{
+    // The figure binaries' entry point: a run that fails is an error
+    // exit naming the spec, not an uncaught exception (status 134).
+    const std::vector<bench::RunSpec> specs{
+        {"vecadd", smallConfig(), 0},
+        {"no-such-workload", smallConfig(), 0}};
+    const char *argv[] = {"bin", "--jobs", "1"};
+    EXPECT_EXIT(bench::runAll(specs, 3, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(1),
+                "spec 1 \\('no-such-workload'\\) failed");
+}
+
 } // namespace
 } // namespace vtsim

@@ -186,6 +186,20 @@ TEST(ServiceProtocol, RejectsBadRequests)
                      "\"sim_threads\":\"four\"}"),
                  ProtocolError);
     EXPECT_THROW(service::parseRequest("[]"), ProtocolError);
+    // Checkpoint migration is not part of the protocol: these op
+    // names must draw the plain unknown-op error.
+    for (const char *op :
+         {"yank", "ckpt_read", "release", "ckpt_begin", "ckpt_chunk"}) {
+        try {
+            service::parseRequest(std::string("{\"op\":\"") + op +
+                                  "\",\"job\":1}");
+            ADD_FAILURE() << op << " was accepted";
+        } catch (const ProtocolError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown op"),
+                      std::string::npos)
+                << op << ": " << e.what();
+        }
+    }
 }
 
 TEST(ServiceProtocol, ParsesSimThreads)

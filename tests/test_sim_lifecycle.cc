@@ -1,7 +1,8 @@
 /**
  * @file
  * The SimComponent lifecycle end to end: Gpu::reset() arena reuse,
- * checkpoint/restore (vtsim-ckpt-v1) resuming bit-identically, and the
+ * checkpoint/restore (vtsim-ckpt-v1) resuming bit-identically — also
+ * from a preempted launch's image restored on another Gpu — and the
  * verifyHorizon oracle. The overarching invariant is the same one the
  * fast-forward tests enforce: no lifecycle operation — reset, a
  * checkpoint write mid-run, a restore — may change a single statistic
@@ -12,6 +13,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -279,6 +281,64 @@ TEST(Checkpoint, RejectsVersion3Image)
                   std::string::npos)
             << e.what();
     }
+}
+
+/**
+ * The job service's park path, without the service: a launch with a
+ * 500-cycle cadence and no checkpoint file stops at the first boundary
+ * after requestPreempt(), and saveCheckpoint() yields the image the
+ * spool would hold. That image, copied to another path and restored
+ * into a freshly constructed Gpu, must finish bit-identically to the
+ * uninterrupted run: the format carries no host-local state.
+ */
+TEST(CheckpointPortability, ImageRestoresByteIdenticallyElsewhere)
+{
+    const GpuConfig cfg = GpuConfig::fermiLike();
+    auto wl = makeWorkload("needle", 2);
+    const Kernel k = wl->buildKernel();
+
+    Gpu reference(cfg);
+    const KernelStats uninterrupted =
+        reference.launch(k, wl->prepare(reference.memory()));
+    ASSERT_TRUE(wl->verify(reference.memory()));
+
+    Gpu source(cfg);
+    source.setCheckpoint("", 500);
+    source.requestPreempt();
+    const KernelStats partial =
+        source.launch(k, wl->prepare(source.memory()));
+    ASSERT_TRUE(source.preempted());
+    EXPECT_LT(partial.cycles, uninterrupted.cycles);
+    std::vector<std::uint8_t> image;
+    source.saveCheckpoint(image);
+
+    const std::string parked = tempPath("ckpt_parked");
+    const std::string shipped = tempPath("ckpt_shipped");
+    {
+        std::ofstream out(parked, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(image.data()),
+                  std::streamsize(image.size()));
+        ASSERT_TRUE(out.good());
+    }
+    std::filesystem::copy_file(
+        parked, shipped, std::filesystem::copy_options::overwrite_existing);
+    std::remove(parked.c_str());
+
+    GlobalMemory scratch; // Teaches wl its addresses for verify().
+    wl->prepare(scratch);
+    Gpu target(cfg);
+    const LaunchParams lp = target.restoreCheckpoint(shipped);
+    const KernelStats resumed = target.launch(k, lp);
+    EXPECT_FALSE(target.preempted());
+    EXPECT_TRUE(wl->verify(target.memory()));
+    expectIdenticalStats(uninterrupted, resumed, "restored elsewhere");
+    std::remove(shipped.c_str());
+
+    // Strongest form: both machines end in byte-identical states.
+    std::vector<std::uint8_t> end_reference, end_target;
+    reference.saveCheckpoint(end_reference);
+    target.saveCheckpoint(end_target);
+    EXPECT_TRUE(end_reference == end_target);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,23 +4,13 @@
  *
  * Usage:
  *   vtsim-submit <workload>|fig3 [options]
- *   vtsim-submit --status | --ping | --metrics | --shutdown
+ *   vtsim-submit --status | --ping | --metrics | --shutdown [--socket PATH]
  *
  *   <workload>            one benchmark by name, or the literal `fig3`
  *                         to expand the FIG-3 batch (every benchmark,
  *                         baseline and VT configuration, spec order)
  *   --benchmarks a,b,c    restrict the fig3 expansion to these names
  *   --socket PATH         vtsimd socket (default ./vtsimd.sock)
- *   --connect HOST:PORT   talk TCP instead — to a vtsimd --listen-tcp
- *                         or a vtsim-coord fleet endpoint. Connection
- *                         refused/reset is retried with capped
- *                         exponential backoff and jitter, and a
- *                         coordinator's {"rejected", "retry_after_ms"}
- *                         backpressure reply re-submits after the
- *                         server-suggested delay
- *   --token SECRET        bearer token stamped on every request line
- *   --tenant NAME         fabric accounting/fair-share tenant
- *   --affinity NODE       ask the coordinator to prefer this node
  *   --priority P          low | normal | high (default normal)
  *   --scale N             problem scale
  *   --vt | --sms N | --vtmax N | --swap-latency N | --scheduler P
@@ -52,16 +42,12 @@
  * and --local modes, so `diff` between the two proves bit-identity.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "fabric/transport.hh"
 #include "parallel_runner.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
@@ -84,10 +70,8 @@ usage()
                  "         [--sim-threads N] [--kernels a,b "
                  "[--share-policy spatial|vt-fill|preempt]]\n"
                  "         [--no-wait] [--local]\n"
-                 "         [--connect HOST:PORT] [--token SECRET] "
-                 "[--tenant NAME] [--affinity NODE]\n"
                  "       vtsim-submit --status | --ping | --metrics | "
-                 "--shutdown [--socket PATH | --connect HOST:PORT]\n");
+                 "--shutdown [--socket PATH]\n");
     std::exit(2);
 }
 
@@ -112,10 +96,6 @@ try {
     using namespace vtsim::service;
 
     std::string socket_path = "vtsimd.sock";
-    std::string connect_addr;
-    std::string auth_token;
-    std::string tenant;
-    std::string affinity;
     std::string target;
     std::string priority = "normal";
     std::vector<std::string> benchmarks;
@@ -154,14 +134,6 @@ try {
         const std::string &a = args[i];
         if (a == "--socket")
             socket_path = next_value(i);
-        else if (a == "--connect")
-            connect_addr = next_value(i);
-        else if (a == "--token")
-            auth_token = next_value(i);
-        else if (a == "--tenant")
-            tenant = next_value(i);
-        else if (a == "--affinity")
-            affinity = next_value(i);
         else if (a == "--status")
             mode = Mode::Status;
         else if (a == "--ping")
@@ -216,30 +188,13 @@ try {
             usage();
     }
 
-    // One connection for the whole batch; TCP dials retry connection
-    // refused/reset with capped exponential backoff plus jitter, so a
-    // daemon or coordinator that is still starting (or briefly
-    // restarting) does not fail the batch.
-    const auto dial = [&]() -> std::unique_ptr<Client> {
-        if (connect_addr.empty())
-            return std::make_unique<Client>(socket_path);
-        return connectTcpWithRetry(
-            vtsim::fabric::parseHostPort(connect_addr), auth_token);
-    };
-
     if (mode != Mode::Submit) {
-        std::unique_ptr<Client> client_ptr = dial();
-        Client &client = *client_ptr;
+        Client client(socket_path);
         Json::Object req;
         req["op"] = Json(mode == Mode::Status    ? "status"
                          : mode == Mode::Ping    ? "ping"
                          : mode == Mode::Metrics ? "metrics"
                                                  : "shutdown");
-        // The TCP client stamps its token itself; over the unix
-        // socket the daemon enforces the same bearer token, so stamp
-        // it here too.
-        if (!auth_token.empty())
-            req["token"] = Json(auth_token);
         const Json reply = client.request(Json(std::move(req)));
         const Json *ok = reply.find("ok");
         if (!ok || !ok->isBool() || !ok->asBool()) {
@@ -295,14 +250,6 @@ try {
             o["workload"] = Json(workload);
         }
         o["priority"] = Json(priority);
-        // requestRaw sends these lines verbatim (no Client token
-        // stamping), so the bearer token goes into the body here.
-        if (!auth_token.empty())
-            o["token"] = Json(auth_token);
-        if (!tenant.empty())
-            o["tenant"] = Json(tenant);
-        if (!affinity.empty())
-            o["affinity"] = Json(affinity);
         if (scale >= 0)
             o["scale"] = Json(std::int64_t(scale));
         Json::Object cfg = config;
@@ -367,30 +314,17 @@ try {
         return 0;
     }
 
-    std::unique_ptr<Client> client_ptr = dial();
-    Client &client = *client_ptr;
+    // One connection for the whole batch.
+    Client client(socket_path);
     std::vector<JobId> ids;
     std::vector<JobSpec> job_specs;
     for (const auto &line : submits) {
-        // A coordinator under backpressure answers with a
-        // retry_after_ms hint instead of queueing unboundedly; honor
-        // it (with a bounded number of attempts so a hard limit —
-        // e.g. a tenant quota that never clears — still fails).
-        Json reply;
-        for (int attempt = 0;; ++attempt) {
-            reply = Json::parse(client.requestRaw(line));
-            const Json *ok = reply.find("ok");
-            if (ok && ok->isBool() && ok->asBool())
-                break;
-            const Json *retry = reply.find("retry_after_ms");
-            if (!retry || !retry->isInt() || attempt >= 50) {
-                std::fprintf(stderr,
-                             "vtsim-submit: submit rejected: %s\n",
-                             reply.dump().c_str());
-                return 1;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                std::min<std::int64_t>(retry->asInt(), 5000)));
+        const Json reply = Json::parse(client.requestRaw(line));
+        const Json *ok = reply.find("ok");
+        if (!ok || !ok->isBool() || !ok->asBool()) {
+            std::fprintf(stderr, "vtsim-submit: submit rejected: %s\n",
+                         reply.dump().c_str());
+            return 1;
         }
         ids.push_back(JobId(reply.find("job")->asInt()));
         job_specs.push_back(parseRequest(line).spec);
@@ -404,8 +338,6 @@ try {
         Json::Object req;
         req["op"] = Json("wait");
         req["job"] = Json(ids[i]);
-        if (!auth_token.empty())
-            req["token"] = Json(auth_token);
         const Json reply = client.request(Json(std::move(req)));
         const Json *state = reply.find("state");
         if (!state || !state->isString() ||

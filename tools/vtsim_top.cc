@@ -6,15 +6,8 @@
  *
  * Usage:
  *   vtsim-top [--socket PATH] [--evlog PATH] [--interval MS] [--once]
- *   vtsim-top --connect HOST:PORT [--token SECRET] [...]
  *
  *   --socket PATH   vtsimd socket (default ./vtsimd.sock)
- *   --connect HOST:PORT
- *                   poll a vtsim-coord fleet endpoint over TCP
- *                   instead: renders one row per registered daemon
- *                   (workers busy/total, queue depth, steals and
- *                   migrations in/out) above the fabric job table
- *   --token SECRET  bearer token for --connect
  *   --evlog PATH    tail this event log's most recent job events
  *   --interval MS   refresh period (default 1000)
  *   --once          render a single frame without clearing the screen
@@ -33,13 +26,11 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "fabric/transport.hh"
 #include "service/client.hh"
 #include "service/json.hh"
 
@@ -53,9 +44,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: vtsim-top [--socket PATH] [--evlog PATH] "
-                 "[--interval MS] [--once]\n"
-                 "       vtsim-top --connect HOST:PORT [--token "
-                 "SECRET] [...]\n");
+                 "[--interval MS] [--once]\n");
     std::exit(2);
 }
 
@@ -148,86 +137,6 @@ struct Frame
     std::map<std::string, double> metrics;
     std::vector<Json> events;
 };
-
-/** Coordinator mode: the fleet table (one row per daemon) above the
- *  fabric job table. */
-void
-renderFleet(const Frame &frame)
-{
-    const Json &st = frame.status;
-    const Json *fabric = st.find("fabric");
-    if (!fabric)
-        return;
-    const auto num = [&st](const char *key) -> double {
-        const Json *v = st.find(key);
-        return v ? v->asDouble() : 0.0;
-    };
-    std::printf("vtsim-coord up %.1fs  dispatches %lld  steals %lld  "
-                "migrations %lld  throttles %lld\n",
-                num("uptime_seconds"),
-                (long long)fabric->find("dispatches")->asInt(),
-                (long long)fabric->find("steals")->asInt(),
-                (long long)fabric->find("migrations")->asInt(),
-                (long long)fabric->find("throttles")->asInt());
-
-    if (const Json *nodes = fabric->find("nodes")) {
-        std::printf("%-10s %-21s %-5s %7s %5s %6s %9s %9s\n", "NODE",
-                    "ADDR", "UP", "BUSY", "QUEUE", "PARKED",
-                    "STEAL i/o", "MIGR i/o");
-        for (const Json &n : nodes->asArray()) {
-            char busy[16], steals[16], migr[16];
-            std::snprintf(busy, sizeof(busy), "%lld/%lld",
-                          (long long)n.find("running")->asInt(),
-                          (long long)n.find("workers")->asInt());
-            std::snprintf(steals, sizeof(steals), "%lld/%lld",
-                          (long long)n.find("steals_in")->asInt(),
-                          (long long)n.find("steals_out")->asInt());
-            std::snprintf(migr, sizeof(migr), "%lld/%lld",
-                          (long long)n.find("migrations_in")->asInt(),
-                          (long long)n.find("migrations_out")->asInt());
-            std::printf("%-10s %-21s %-5s %7s %5lld %6lld %9s %9s\n",
-                        n.find("node")->asString().c_str(),
-                        n.find("addr")->asString().c_str(),
-                        n.find("alive")->asBool() ? "yes" : "LOST",
-                        busy,
-                        (long long)n.find("queue_depth")->asInt(),
-                        (long long)n.find("parked")->asInt(), steals,
-                        migr);
-        }
-    }
-    if (const Json *tenants = fabric->find("tenants")) {
-        for (const Json &t : tenants->asArray()) {
-            std::printf("tenant %-12s in-flight %lld  submitted %lld  "
-                        "throttled %lld\n",
-                        t.find("tenant")->asString().c_str(),
-                        (long long)t.find("in_flight")->asInt(),
-                        (long long)t.find("submitted")->asInt(),
-                        (long long)t.find("throttled")->asInt());
-        }
-    }
-    if (const Json *list = st.find("job_list")) {
-        std::printf("%-5s %-14s %-12s %-8s %-10s %-10s\n", "JOB",
-                    "WORKLOAD", "TENANT", "PRIO", "STATE", "NODE");
-        for (const Json &j : list->asArray()) {
-            const Json *node = j.find("node");
-            std::printf("%-5lld %-14s %-12s %-8s %-10s %-10s\n",
-                        (long long)j.find("job")->asInt(),
-                        j.find("workload")->asString().c_str(),
-                        j.find("tenant")->asString().c_str(),
-                        j.find("priority")->asString().c_str(),
-                        j.find("state")->asString().c_str(),
-                        node && node->isString()
-                            ? node->asString().c_str()
-                            : "-");
-        }
-    }
-    if (!frame.events.empty()) {
-        std::printf("recent events\n");
-        for (const Json &e : frame.events)
-            std::printf("  %s\n", describeEvent(e).c_str());
-    }
-    std::fflush(stdout);
-}
 
 void
 render(const Frame &frame)
@@ -331,8 +240,6 @@ int
 main(int argc, char **argv)
 {
     std::string socket_path = "vtsimd.sock";
-    std::string connect_addr;
-    std::string auth_token;
     std::string evlog_path;
     long interval_ms = 1000;
     bool once = false;
@@ -346,10 +253,6 @@ main(int argc, char **argv)
         };
         if (arg == "--socket")
             socket_path = value();
-        else if (arg == "--connect")
-            connect_addr = value();
-        else if (arg == "--token")
-            auth_token = value();
         else if (arg == "--evlog")
             evlog_path = value();
         else if (arg == "--interval") {
@@ -362,27 +265,19 @@ main(int argc, char **argv)
             usage();
     }
 
-    const bool fleet = !connect_addr.empty();
     for (;;) {
         Frame frame;
         try {
-            auto client =
-                fleet ? std::make_unique<Client>(
-                            vtsim::fabric::parseHostPort(connect_addr),
-                            auth_token)
-                      : std::make_unique<Client>(socket_path);
+            Client client(socket_path);
             Json::Object status_req;
             status_req["op"] = Json("status");
-            frame.status =
-                client->request(Json(std::move(status_req)));
-            if (!fleet) {
-                Json::Object metrics_req;
-                metrics_req["op"] = Json("metrics");
-                const Json reply =
-                    client->request(Json(std::move(metrics_req)));
-                if (const Json *body = reply.find("body"))
-                    frame.metrics = parseMetrics(body->asString());
-            }
+            frame.status = client.request(Json(std::move(status_req)));
+            Json::Object metrics_req;
+            metrics_req["op"] = Json("metrics");
+            const Json reply =
+                client.request(Json(std::move(metrics_req)));
+            if (const Json *body = reply.find("body"))
+                frame.metrics = parseMetrics(body->asString());
         } catch (const std::exception &e) {
             std::fprintf(stderr, "vtsim-top: %s\n", e.what());
             return 1;
@@ -392,10 +287,7 @@ main(int argc, char **argv)
 
         if (!once)
             std::printf("\033[2J\033[H"); // Clear + home.
-        if (fleet)
-            renderFleet(frame);
-        else
-            render(frame);
+        render(frame);
         if (once)
             return 0;
         std::this_thread::sleep_for(

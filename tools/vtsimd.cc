@@ -3,14 +3,14 @@
  * vtsimd — the simulation-job service daemon. Binds a Unix-domain
  * socket, accepts NDJSON job requests (src/service/protocol.hh) and
  * schedules them onto a preemptive worker pool (src/service/service.hh).
+ * Whoever can open the socket file can submit jobs and shut the daemon
+ * down: place it in a directory with the permissions you want.
  *
  * Usage:
  *   vtsimd [--socket PATH] [--workers N] [--queue-limit N]
  *          [--preempt-every CYCLES] [--spool DIR] [--stats-json PATH]
  *          [--max-sim-threads N] [--evlog PATH] [--metrics-file PATH]
  *          [--job-trace PATH] [--log-level LEVEL]
- *          [--listen-tcp [HOST:]PORT] [--token SECRET]
- *          [--node NAME --coordinator HOST:PORT [--advertise HOST:PORT]]
  *
  *   --socket PATH         listen here (default ./vtsimd.sock)
  *   --workers N           concurrent simulations (default 2)
@@ -36,20 +36,6 @@
  *                         slices and per-job phase spans
  *   --log-level LEVEL     stderr verbosity: debug|info|warn|error|off
  *                         (default info; VTSIM_LOG_LEVEL also works)
- *   --listen-tcp [HOST:]PORT
- *                         additionally listen on TCP (the fabric
- *                         transport); PORT 0 binds an ephemeral port,
- *                         printed at startup. HOST defaults to
- *                         127.0.0.1
- *   --token SECRET        bearer token required on every request line
- *                         (both listeners); the fleet-wide secret
- *   --node NAME           this daemon's fabric name; with
- *                         --coordinator, a node agent registers NAME
- *                         at the coordinator and heartbeats load
- *   --coordinator HOST:PORT
- *                         the vtsim-coord endpoint to join
- *   --advertise HOST:PORT the dial-back address the coordinator should
- *                         use (default 127.0.0.1:<bound TCP port>)
  *
  * The daemon exits after a client's "shutdown" op (draining every
  * admitted job first) or on SIGINT/SIGTERM.
@@ -64,14 +50,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "common/logger.hh"
-#include "fabric/node_agent.hh"
-#include "fabric/transport.hh"
 #include "service/daemon.hh"
 #include "service/service.hh"
 #include "service/stats_json.hh"
@@ -101,11 +84,7 @@ usage()
                  "              [--metrics-file PATH] [--job-trace "
                  "PATH]\n"
                  "              [--log-level "
-                 "debug|info|warn|error|off]\n"
-                 "              [--listen-tcp [HOST:]PORT] [--token "
-                 "SECRET]\n"
-                 "              [--node NAME --coordinator HOST:PORT "
-                 "[--advertise HOST:PORT]]\n");
+                 "debug|info|warn|error|off]\n");
     std::exit(2);
 }
 
@@ -216,11 +195,6 @@ main(int argc, char **argv)
     std::string socket_path = "vtsimd.sock";
     std::string stats_json_path;
     std::string metrics_file_path;
-    std::string listen_tcp;
-    std::string auth_token;
-    std::string node_name;
-    std::string coordinator_addr;
-    std::string advertise_addr;
     ServiceConfig config;
 
     for (int i = 1; i < argc; ++i) {
@@ -252,16 +226,6 @@ main(int argc, char **argv)
             metrics_file_path = value();
         else if (arg == "--job-trace")
             config.jobTracePath = value();
-        else if (arg == "--listen-tcp")
-            listen_tcp = value();
-        else if (arg == "--token")
-            auth_token = value();
-        else if (arg == "--node")
-            node_name = value();
-        else if (arg == "--coordinator")
-            coordinator_addr = value();
-        else if (arg == "--advertise")
-            advertise_addr = value();
         else if (arg == "--log-level") {
             try {
                 logging::setLevel(logging::parseLevel(value()));
@@ -276,30 +240,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "vtsimd: --workers must be >= 1\n");
         return 2;
     }
-    if (!coordinator_addr.empty() &&
-        (node_name.empty() || listen_tcp.empty())) {
-        std::fprintf(stderr, "vtsimd: --coordinator needs --node and "
-                             "--listen-tcp\n");
-        return 2;
-    }
 
     try {
         const auto started = std::chrono::steady_clock::now();
         JobService service(config);
 
-        DaemonConfig daemon_config;
-        daemon_config.socketPath = socket_path;
-        daemon_config.authToken = auth_token;
-        if (!listen_tcp.empty()) {
-            // Bare "PORT" means loopback; "HOST:PORT" binds that host.
-            const std::string spec =
-                listen_tcp.find(':') == std::string::npos
-                    ? "127.0.0.1:" + listen_tcp
-                    : listen_tcp;
-            daemon_config.tcp = vtsim::fabric::parseHostPort(spec);
-            daemon_config.tcpEnabled = true;
-        }
-        Daemon daemon(service, daemon_config);
+        Daemon daemon(service, socket_path);
         daemon.start();
         g_daemon = &daemon;
         std::signal(SIGINT, onSignal);
@@ -310,35 +256,10 @@ main(int argc, char **argv)
                       config.workers, " workers, queue limit ",
                       config.queueLimit, ", preempt every ",
                       config.preemptEvery, " cycles)");
-        if (daemon_config.tcpEnabled) {
-            logging::info("vtsimd", "TCP listener on ",
-                          daemon_config.tcp.host, ":",
-                          daemon.boundTcpPort(),
-                          auth_token.empty() ? " (no token)"
-                                             : " (token auth)");
-        }
         {
-            std::unique_ptr<vtsim::fabric::NodeAgent> agent;
-            if (!coordinator_addr.empty()) {
-                vtsim::fabric::NodeAgentConfig agent_config;
-                agent_config.node = node_name;
-                agent_config.coordinator =
-                    vtsim::fabric::parseHostPort(coordinator_addr);
-                agent_config.advertise =
-                    advertise_addr.empty()
-                        ? vtsim::fabric::HostPort{"127.0.0.1",
-                                                  daemon.boundTcpPort()}
-                        : vtsim::fabric::parseHostPort(advertise_addr);
-                agent_config.token = auth_token;
-                agent = std::make_unique<vtsim::fabric::NodeAgent>(
-                    service, agent_config);
-                agent->start();
-            }
             MetricsFileWriter metrics(service, metrics_file_path);
             daemon.serve();
 
-            if (agent)
-                agent->stop(); // Stop heartbeating before the drain.
             logging::info("vtsimd", "draining...");
             service.shutdown();
             // MetricsFileWriter's destructor writes the post-drain
